@@ -72,9 +72,7 @@ let certify ?max_decision_us:bound sys =
   let max_decision_us, late_rev =
     List.fold_left
       (fun (worst, late) ack ->
-        match
-          List.find_opt (fun sub -> sub.System.sub_tx = ack.System.tx) submissions
-        with
+        match System.submission_of sys ack.System.tx with
         | None -> (worst, late)
         | Some sub ->
           let us = Sim.Sim_time.span_to_us (Sim.Sim_time.diff ack.System.at sub.System.sub_at) in

@@ -59,7 +59,7 @@ type t = {
   mutable acked_rev : ack list;
   acked_ids : (Db.Transaction.id, unit) Hashtbl.t;
   mutable subs_rev : submission list;
-  sub_ids : (Db.Transaction.id, unit) Hashtbl.t;
+  sub_ids : (Db.Transaction.id, submission) Hashtbl.t; (* first submission per id *)
   crashes : Sim.Sim_time.t list ref array;
   recoveries : Sim.Sim_time.t list ref array;
   mutable max_simultaneously_down : int;
@@ -99,15 +99,16 @@ let submit t ?on_response ~delegate tx =
   (* First submission of each id wins: a client retry of a decided tx must
      not resurrect it as "undecided" in the liveness oracle's books. *)
   if not (Hashtbl.mem t.sub_ids tx.Db.Transaction.id) then begin
-    Hashtbl.replace t.sub_ids tx.Db.Transaction.id ();
-    t.subs_rev <-
+    let sub =
       {
         sub_tx = tx.Db.Transaction.id;
         sub_at = submitted_at;
         sub_delegate = delegate;
         sub_delegate_serving = serving t delegate;
       }
-      :: t.subs_rev
+    in
+    Hashtbl.replace t.sub_ids tx.Db.Transaction.id sub;
+    t.subs_rev <- sub :: t.subs_rev
   end;
   let respond outcome =
     (* Retried transactions answer at most once into the books. *)
@@ -308,6 +309,7 @@ let recover t i =
 let submitted t = t.submitted
 let acked t = List.rev t.acked_rev
 let submissions t = List.rev t.subs_rev
+let submission_of t id = Hashtbl.find_opt t.sub_ids id
 let acked_id t id = Hashtbl.mem t.acked_ids id
 
 let has_ordering_layer t =

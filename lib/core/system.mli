@@ -162,6 +162,10 @@ val submissions : t -> submission list
     client retries do not duplicate), in submission order — the other half
     of the liveness oracle's books: [submissions] owed, {!acked} paid. *)
 
+val submission_of : t -> Db.Transaction.id -> submission option
+(** The first submission of this transaction id (the entry {!submissions}
+    lists for it), or [None] if the id was never submitted. O(1). *)
+
 val acked_id : t -> Db.Transaction.id -> bool
 (** Whether a response for this transaction id was ever given. *)
 

@@ -24,17 +24,24 @@ type repair =
 let header_len = 16
 let crc_off = 12
 
-(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), computed bitwise.
-   A 256-entry table would be a toplevel mutable (or a big literal); at WAL
-   record sizes the bitwise loop is well inside the append-path budget. *)
+(* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), one byte per
+   step through a 256-entry table: entry [n] is the register after shifting
+   byte [n] through the eight bitwise steps, so a lookup replaces the inner
+   bit loop and the checksum bytes are unchanged. The table is built once
+   at module initialisation and never written afterwards. *)
+let crc_table =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done;
+      !c)
+
 let crc32 bytes ~pos ~len =
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    crc := !crc lxor Char.code (Bytes.get bytes i);
-    for _ = 0 to 7 do
-      let c = !crc in
-      crc := if c land 1 = 1 then (c lsr 1) lxor 0xEDB88320 else c lsr 1
-    done
+    let c = !crc in
+    crc := Array.unsafe_get crc_table ((c lxor Char.code (Bytes.get bytes i)) land 0xFF) lxor (c lsr 8)
   done;
   (!crc lxor 0xFFFFFFFF) land 0xFFFFFFFF
 

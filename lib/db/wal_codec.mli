@@ -2,7 +2,7 @@
 
     Every record is one self-describing byte string:
     [[seq:8 LE][len:4 LE][crc:4 LE][payload]] where [len] is the payload
-    length and [crc] is CRC-32 (IEEE, computed bitwise) over the whole
+    length and [crc] is CRC-32 (IEEE, table-driven) over the whole
     frame with the crc field zeroed — so a flip anywhere, header included,
     is detected. The payload carries the transaction id, decision and
     write set. Sequence numbers are monotonic and never reused, letting

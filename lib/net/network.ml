@@ -56,18 +56,21 @@ let register net ~id ~process ?cpu handler =
     invalid_arg (Format.asprintf "Network.register: %a already registered" Node_id.pp id);
   Hashtbl.replace net.nodes index { process; cpu; handler }
 
-let group_of net index =
-  match net.groups with
-  | None -> 0
-  | Some tbl -> ( match Hashtbl.find_opt tbl index with Some g -> g | None -> -1)
+let group_of groups index = match Hashtbl.find_opt groups index with Some g -> g | None -> -1
 
 let link_key src dst =
   let a = Node_id.index src and b = Node_id.index dst in
   (min a b, max a b)
 
+(* Every delivery asks this. With no partition installed and no link
+   blocked (the common case) it answers without a lookup, and without
+   building and hashing the link key. *)
 let reachable net src dst =
-  group_of net (Node_id.index src) = group_of net (Node_id.index dst)
-  && not (Hashtbl.mem net.blocked_links (link_key src dst))
+  (match net.groups with
+  | None -> true
+  | Some groups -> group_of groups (Node_id.index src) = group_of groups (Node_id.index dst))
+  && (Hashtbl.length net.blocked_links = 0
+     || not (Hashtbl.mem net.blocked_links (link_key src dst)))
 
 let partition net groups =
   let tbl = Hashtbl.create 16 in
@@ -127,7 +130,8 @@ let transmit net ~src ~dst payload =
        frame overtaken by the repaired path. Consumed even if the copies are
        later dropped at delivery (receiver down, partition). *)
     let dst_index = Node_id.index dst in
-    if Hashtbl.mem net.duplicate_next_to dst_index then begin
+    if Hashtbl.length net.duplicate_next_to > 0 && Hashtbl.mem net.duplicate_next_to dst_index
+    then begin
       Hashtbl.remove net.duplicate_next_to dst_index;
       net.duplicated <- net.duplicated + 1;
       ignore

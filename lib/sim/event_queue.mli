@@ -3,11 +3,14 @@
     A binary min-heap keyed by [(time, sequence)]: events at equal instants
     pop in insertion order, which keeps simulations deterministic.
 
-    The heap is laid out as parallel arrays — priority keys in unboxed
-    [int] arrays, payloads beside them — so [add] allocates nothing in the
-    steady state and comparisons never chase a pointer. Popped (and
-    cleared) slots are overwritten, so a consumed event's value is
-    unreachable as soon as it is returned. *)
+    The heap sifts keys only: times, sequence numbers and a heap-position
+    → slot index live in unboxed [int] arrays, while payloads sit still in
+    a slot table behind a free-slot stack. A payload is written once by
+    [add] and cleared once by [pop_value], so sifting never runs the GC
+    write barrier, [add] and [pop_value] allocate nothing in the steady
+    state, and comparisons never chase a pointer. Popped (and cleared)
+    slots are reset, so a consumed event's value is unreachable as soon as
+    it is returned. *)
 
 type 'a t
 (** A queue of events carrying values of type ['a]. *)
@@ -45,6 +48,8 @@ val clear : 'a t -> unit
 
 val heap_ok : 'a t -> bool
 (** Test hook: whether the internal [(time, sequence)] min-heap property
-    holds and every slot beyond the live size has been cleared back to the
-    dummy (the space-leak guard). Always [true] unless the implementation
-    is broken — the fuzz tests call it after every operation. *)
+    holds, every live slot is referenced by exactly one heap position,
+    every other slot is on the free stack exactly once, and every free
+    slot holds the dummy (the space-leak guard). Always [true] unless the
+    implementation is broken — the fuzz tests call it after every
+    operation. *)

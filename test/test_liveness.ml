@@ -180,6 +180,65 @@ let test_decision_bound () =
     check_bool "no late decisions" true (v.Check.Liveness.late = [])
   | None -> Alcotest.fail "liveness verdict missing"
 
+(* ---- First submission wins ---- *)
+
+(* The reference the oracle must agree with: each ack matched to its
+   transaction's first submission by a linear scan of the books. Returns
+   the slowest decision and the (tx, delegate, us) triples over [bound]. *)
+let first_match_scan sys ~bound =
+  let subs = System.submissions sys in
+  let worst, late =
+    List.fold_left
+      (fun (worst, late) ack ->
+        match List.find_opt (fun s -> s.System.sub_tx = ack.System.tx) subs with
+        | None -> (worst, late)
+        | Some s ->
+          let us = Sim.Sim_time.span_to_us (Sim.Sim_time.diff ack.System.at s.System.sub_at) in
+          let late = if us > bound then (ack.System.tx, s.System.sub_delegate, us) :: late else late in
+          (Int.max worst us, late))
+      (0, []) (System.acked sys)
+  in
+  (worst, List.rev late)
+
+(* A client retry (same id, another delegate) lands before the decision.
+   Decisions are still timed from the first submission: under a bound just
+   below that latency the transaction is late, though it would not be if
+   timed from the retry. *)
+let test_retry_timed_from_first_submission () =
+  let sys = System.create ~trace_enabled:false (System.Dsm Dsm_replica.Group_safe_mode) in
+  System.run_for sys (Sim.Sim_time.span_ms 100.);
+  let tx id = Db.Transaction.make ~id ~client:0 [ Db.Op.Read id; Db.Op.Write (id, id) ] in
+  let first_at = System.now sys in
+  System.submit sys ~delegate:0 (tx 1);
+  System.submit sys ~delegate:1 (tx 2);
+  System.run_for sys (Sim.Sim_time.span_us 300);
+  check_bool "retry precedes the decision" false (System.acked_id sys 1);
+  System.submit sys ~delegate:1 (tx 1);
+  System.run_for sys (Sim.Sim_time.span_s 2.);
+  check_bool "both decided" true (System.acked_id sys 1 && System.acked_id sys 2);
+  (match System.submission_of sys 1 with
+  | Some s ->
+    check_bool "first submission kept" true
+      (s.System.sub_delegate = 0 && Sim.Sim_time.equal s.System.sub_at first_at)
+  | None -> Alcotest.fail "submission_of lost tx 1");
+  check_bool "unknown id" true (Option.is_none (System.submission_of sys 99));
+  let decision_us =
+    match List.find_opt (fun a -> a.System.tx = 1) (System.acked sys) with
+    | Some a -> Sim.Sim_time.span_to_us (Sim.Sim_time.diff a.System.at first_at)
+    | None -> Alcotest.fail "tx 1 not acked"
+  in
+  let bound = decision_us - 100 in
+  let v = Check.Liveness.certify ~max_decision_us:bound sys in
+  let worst, late = first_match_scan sys ~bound in
+  Alcotest.(check int) "max_decision_us" worst v.Check.Liveness.max_decision_us;
+  Alcotest.(check (list (triple int int int)))
+    "late entries" late
+    (List.map
+       (fun l -> Check.Liveness.(l.l_tx, l.l_delegate, l.l_decision_us))
+       v.Check.Liveness.late);
+  check_bool "tx 1 late, timed from its first submission" true
+    (List.mem (1, 0, decision_us) late)
+
 (* ---- Leader takeover ---- *)
 
 let takeover technique =
@@ -235,6 +294,11 @@ let () =
           Alcotest.test_case "deterministic per seed" `Quick
             test_liveness_explore_deterministic;
           Alcotest.test_case "decision-latency bound" `Quick test_decision_bound;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "retry timed from first submission" `Quick
+            test_retry_timed_from_first_submission;
         ] );
       ( "takeover",
         [

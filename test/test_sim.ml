@@ -65,13 +65,17 @@ let prop_queue_pops_sorted =
 (* Model-based fuzz: drive the heap with a random add/pop script and check
    every observable — pop order and payload pairing, length, next_time_us —
    against a naive sorted-list model after every single operation, along
-   with the structural heap invariant and the cleared-slot guard
-   ([Event_queue.heap_ok]). [Some t] adds at time [t], [None] pops; the
-   small time bound forces many equal-time ties so the FIFO sequence
-   numbers do real work. *)
+   with the structural heap invariant and the slot-table guard
+   ([Event_queue.heap_ok]). [Some t] adds at time [t], [None] pops. Adds
+   outnumber pops three to one over 700+ operations, so every script grows
+   the arrays several times and holds well over 256 live entries; the tiny
+   time bound forces many equal-time ties so the FIFO sequence numbers do
+   real work. *)
 let prop_queue_matches_naive_model =
-  QCheck2.Test.make ~name:"event queue agrees with a sorted-list model" ~count:300
-    QCheck2.Gen.(list (option (int_bound 1_000)))
+  QCheck2.Test.make ~name:"event queue agrees with a sorted-list model" ~count:100
+    QCheck2.Gen.(
+      list_size (int_range 700 1_500)
+        (frequency [ (3, map Option.some (int_bound 40)); (1, pure None) ]))
     (fun script ->
       let q = Event_queue.create () in
       let model = ref [] in
@@ -114,19 +118,25 @@ let prop_queue_matches_naive_model =
    local in the test frame pins the payload across the GC. *)
 
 let[@inline never] add_tracked q collected =
-  let payload = ref 0 in
-  Gc.finalise (fun _ -> collected := true) payload;
-  Event_queue.add q ~time:(Sim_time.of_us 1) payload
+  let state = ref 0 in
+  Gc.finalise (fun _ -> collected := true) state;
+  Event_queue.add q ~time:(Sim_time.of_us 1) (fun () -> incr state)
 
 let[@inline never] pop_ignore q = ignore (Event_queue.pop q)
 
+(* The tracked closure pops first while later events stay queued: its slot
+   goes back on the free stack with live slots all around it. *)
 let test_queue_pop_releases_payload () =
   let q = Event_queue.create () in
+  for i = 2 to 40 do
+    Event_queue.add q ~time:(Sim_time.of_us i) ignore
+  done;
   let collected = ref false in
   add_tracked q collected;
   pop_ignore q;
   Gc.full_major ();
-  check_bool "popped payload collected" true !collected
+  check_bool "popped closure collected" true !collected;
+  check_int "later events still queued" 39 (Event_queue.length q)
 
 let test_queue_clear_releases_payloads () =
   let q = Event_queue.create () in
@@ -165,6 +175,22 @@ let test_queue_add_steady_state_no_alloc () =
   (* The Gc.minor_words calls themselves box a float; anything per-add
      would cost >= 512 words. *)
   check_bool "no per-add allocation" true (words < 100.)
+
+(* The engine's hot loop pops with [next_time_us] + [pop_value]; neither
+   may allocate once the arrays have grown, however deep the sift. *)
+let test_queue_pop_value_steady_state_no_alloc () =
+  let q = Event_queue.create () in
+  for i = 1 to 1024 do
+    Event_queue.add q ~time:(Sim_time.of_us ((i * 7919) land 1023)) i
+  done;
+  let before = Gc.minor_words () in
+  let sum = ref 0 in
+  while Event_queue.next_time_us q < max_int do
+    sum := !sum + Event_queue.pop_value q
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "every payload popped once" (1024 * 1025 / 2) !sum;
+  check_bool "no per-pop allocation" true (words < 100.)
 
 (* ---- Rng ---- *)
 
@@ -508,6 +534,8 @@ let () =
         :: Alcotest.test_case "fast-path accessors" `Quick test_queue_fast_path_accessors
         :: Alcotest.test_case "steady-state add allocates nothing" `Quick
              test_queue_add_steady_state_no_alloc
+        :: Alcotest.test_case "steady-state pop_value allocates nothing" `Quick
+             test_queue_pop_value_steady_state_no_alloc
         :: qsuite [ prop_queue_pops_sorted; prop_queue_matches_naive_model ] );
       ( "rng",
         Alcotest.test_case "determinism" `Quick test_rng_determinism

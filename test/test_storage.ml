@@ -83,6 +83,36 @@ let prop_skip_checksum_misparses =
       in
       detected && misparsed)
 
+(* Encode and decode share one [crc32], so a wrong table would still pass
+   the round-trip and flip properties above. Pin the checksum itself: the
+   CRC-32/IEEE check value, and agreement with the bitwise definition. *)
+let bitwise_crc32 bytes ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code (Bytes.get bytes i);
+    for _ = 0 to 7 do
+      let c = !crc in
+      crc := if c land 1 = 1 then (c lsr 1) lxor 0xEDB88320 else c lsr 1
+    done
+  done;
+  (!crc lxor 0xFFFFFFFF) land 0xFFFFFFFF
+
+let test_crc32_check_value () =
+  let b = Bytes.of_string "123456789" in
+  check_int "CRC-32/IEEE check value" 0xCBF43926 (Db.Wal_codec.crc32 b ~pos:0 ~len:9);
+  check_int "empty input" 0 (Db.Wal_codec.crc32 b ~pos:3 ~len:0)
+
+let prop_crc32_matches_bitwise =
+  QCheck2.Test.make ~name:"table CRC-32 equals the bitwise loop" ~count:500
+    QCheck2.Gen.(triple (string_size (int_range 0 300)) nat nat)
+    (fun (s, a, b) ->
+      let bytes = Bytes.of_string s in
+      let n = Bytes.length bytes in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Db.Wal_codec.crc32 bytes ~pos ~len = bitwise_crc32 bytes ~pos ~len
+      && Db.Wal_codec.crc32 bytes ~pos:0 ~len:n = bitwise_crc32 bytes ~pos:0 ~len:n)
+
 let test_scan_repairs () =
   let f i = encode (i, i, Db.Certifier.Commit, [ (i, i) ]) in
   let torn = String.sub (f 9) 0 10 in
@@ -459,7 +489,11 @@ let () =
         :: QCheck_alcotest.to_alcotest prop_truncation_detected
         :: QCheck_alcotest.to_alcotest prop_flip_detected
         :: QCheck_alcotest.to_alcotest prop_skip_checksum_misparses
-        :: [ Alcotest.test_case "scan repairs and reports" `Quick test_scan_repairs ] );
+        :: QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise
+        :: [
+             Alcotest.test_case "scan repairs and reports" `Quick test_scan_repairs;
+             Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+           ] );
       ( "stable-storage",
         [
           Alcotest.test_case "lying fsync acks then drops" `Quick test_fsync_lie_hook;

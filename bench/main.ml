@@ -81,6 +81,17 @@ let bench_certifier =
          in
          ignore (Db.Certifier.certify c ~start:(Db.Certifier.current_version c) ~ws)))
 
+(* State transfer's certifier cost: every live peer answering a
+   [Join_req] exports its whole certification state. 10 000 written items
+   is the size of the default item space fully touched. *)
+let bench_certifier_export =
+  let c = Db.Certifier.create () in
+  for item = 0 to 9_999 do
+    Db.Certifier.note_commit c ~write_items:[ item ]
+  done;
+  Test.make ~name:"db/certifier export 10k"
+    (Staged.stage (fun () -> ignore (Db.Certifier.export c)))
+
 (* The WAL hardening cost: one framed encode (checksum included) and one
    decode+verify of a typical two-write commit record. The budget is <=10%
    on the append path; this pins the absolute per-record cost of the framed
@@ -240,6 +251,7 @@ let micro_tests =
       bench_event_queue_steady;
       bench_rng;
       bench_certifier;
+      bench_certifier_export;
       bench_wal_codec;
       bench_lock_table;
       bench_obs_histogram;
@@ -264,7 +276,7 @@ let run_micro () =
   let raw = Benchmark.all cfg instances micro_tests in
   let results = Analyze.all ols (List.hd instances) raw in
   let measured =
-    Analysis.Det_tbl.fold
+    Analysis.Det_tbl.fold ~cmp:String.compare
       (fun name ols_result acc ->
         match Analyze.OLS.estimates ols_result with
         | Some (e :: _) -> (name, e) :: acc

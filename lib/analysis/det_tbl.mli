@@ -7,40 +7,41 @@
     network breaks the repo's byte-identical-determinism contract (see
     docs/LINTING.md, rule [D-hashtbl-iter]).
 
-    This module enumerates the {e distinct keys in ascending order} instead,
-    so the result depends only on the table's contents. For keys bound
-    multiple times with [Hashtbl.add], only the most recent binding (the one
-    [Hashtbl.find] returns) is visited. The sort costs [O(n log n)] per
-    call — fine everywhere except tight per-event paths, where an
-    order-independent use of [Hashtbl.iter] with a
-    [[@lint.allow "D-hashtbl-iter" "..."]] justification is the right
-    trade. *)
+    This module enumerates the {e distinct keys in ascending [cmp] order}
+    instead, so the result depends only on the table's contents. Every
+    function takes a required [~cmp] ([Int.compare], [String.compare], the
+    key module's own [compare]): there is no polymorphic-[compare] default.
+    For keys bound multiple times with [Hashtbl.add], only the most recent
+    binding (the one [Hashtbl.find] returns) is visited. The sort costs
+    [O(n log n)] per call — fine everywhere except tight per-event paths,
+    where an order-independent use of [Hashtbl.iter] with a
+    [[@lint.allow "D-hashtbl-iter" "..."]] justification, or a dense array
+    when the keys are small ints, is the right trade. *)
 
-val sorted_keys : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** [sorted_keys tbl] is the distinct keys of [tbl] in ascending [cmp]
-    order. [cmp] defaults to polymorphic [compare]. *)
+val sorted_keys : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
+(** [sorted_keys ~cmp tbl] is the distinct keys of [tbl] in ascending
+    [cmp] order. *)
 
 val iter :
-  ?cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
-(** [iter f tbl] applies [f] to each distinct binding of [tbl] in ascending
-    key order. *)
+  cmp:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
+(** [iter ~cmp f tbl] applies [f] to each distinct binding of [tbl] in
+    ascending key order. *)
 
 val fold :
-  ?cmp:('k -> 'k -> int) ->
+  cmp:('k -> 'k -> int) ->
   ('k -> 'v -> 'acc -> 'acc) ->
   ('k, 'v) Hashtbl.t ->
   'acc ->
   'acc
-(** [fold f tbl init] folds [f] over the distinct bindings of [tbl] in
-    ascending key order. *)
+(** [fold ~cmp f tbl init] folds [f] over the distinct bindings of [tbl]
+    in ascending key order. *)
 
-val bindings : ?cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
-(** [bindings tbl] is the distinct bindings of [tbl] sorted by key —
+val bindings : cmp:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
+(** [bindings ~cmp tbl] is the distinct bindings of [tbl] sorted by key —
     [Hashtbl.to_seq] made deterministic. *)
 
-(** The same discipline for [Hashtbl.Make] instances ([T-hashtbl-iter]).
-    [Hashtbl.S] carries no key order, so every function takes a required
-    [~cmp]; pass the key module's own [compare]. Typical use:
+(** The same discipline for [Hashtbl.Make] instances ([T-hashtbl-iter]);
+    pass the key module's own [compare] as [~cmp]. Typical use:
 
     {[
       module Uid_tbl = Hashtbl.Make (Uid)

@@ -171,7 +171,7 @@ let check_2safe_responses t =
         Gcs.Failure_detector.trusted fd
     in
     let ready_txs =
-      Analysis.Det_tbl.fold
+      Analysis.Det_tbl.fold ~cmp:Int.compare
         (fun tx w acc ->
           if List.for_all (fun n -> Net.Node_id.Set.mem n w.acks) required then tx :: acc else acc)
         t.waiting_2safe []
@@ -220,7 +220,9 @@ let rec arm_ack_poll t =
 
 and poll_missing_acks t =
   let self = t.server.Server.index in
-  let waiting = Analysis.Det_tbl.fold (fun tx w acc -> (tx, w) :: acc) t.waiting_2safe [] in
+  let waiting =
+    Analysis.Det_tbl.fold ~cmp:Int.compare (fun tx w acc -> (tx, w) :: acc) t.waiting_2safe []
+  in
   List.iter
     (fun (tx, w) ->
       List.iter
@@ -402,11 +404,12 @@ let get_snapshot t () =
     | Some p when not_done p.cws -> p.cws :: queued
     | Some _ | None -> queued
   in
+  let cert_version, cert_bindings = Db.Certifier.export t.cert in
   {
     Snapshot.values = Db.Db_engine.values_snapshot t.server.Server.db;
     view = Db.Testable_tx.to_list t.view;
-    cert_version = fst (Db.Certifier.export t.cert);
-    cert_bindings = snd (Db.Certifier.export t.cert);
+    cert_version;
+    cert_bindings;
     pending = unprocessed;
   }
 

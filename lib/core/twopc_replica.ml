@@ -328,7 +328,7 @@ let submit t tx ~on_response =
 (* ---- Recovery ---- *)
 
 let resolve_in_doubt t =
-  Analysis.Det_tbl.iter
+  Analysis.Det_tbl.iter ~cmp:Int.compare
     (fun tx_id record -> send t (node_of_index t record.p_coord) (Tpc_decision_req { tx_id }))
     t.prepared
 

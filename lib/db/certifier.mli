@@ -5,7 +5,12 @@
     commit/abort decision without voting (paper §2.1). The test is the
     standard backward validation: transaction [t], which read its items at
     logical version [start], commits iff no transaction that committed
-    after [start] wrote an item [t] read. *)
+    after [start] wrote an item [t] read.
+
+    Items are non-negative ints; every function taking an item raises
+    [Invalid_argument] on a negative one. The state is a dense window of
+    versions over the items written so far, so each test or record costs
+    one array access per item. *)
 
 type t
 
@@ -39,10 +44,12 @@ val reset : t -> unit
 
 val export : t -> int * (int * int) list
 (** [(version, bindings)] — the full certification state, for state
-    transfer. Bindings are (item, last-writing version) pairs. *)
+    transfer. Bindings are (item, last-writing version) pairs, one per
+    item ever written, in descending item order. *)
 
 val import : t -> version:int -> bindings:(int * int) list -> unit
-(** Replaces the state with an exported one. Resets statistics. *)
+(** Replaces the state with an exported one. Resets statistics.
+    @raise Invalid_argument on a binding with a version below 1. *)
 
 val note_commit : t -> write_items:int list -> unit
 (** Advances the state by one committed writeset without running the test —

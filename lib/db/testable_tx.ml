@@ -24,7 +24,8 @@ let find t id = Hashtbl.find_opt t id
 let already_processed t id = Hashtbl.mem t id
 let count t = Hashtbl.length t
 let reset t = Hashtbl.reset t
-let to_list t = Analysis.Det_tbl.fold (fun id outcome acc -> (id, outcome) :: acc) t []
+let to_list t =
+  Analysis.Det_tbl.fold ~cmp:Int.compare (fun id outcome acc -> (id, outcome) :: acc) t []
 
 let replace t entries =
   Hashtbl.reset t;

@@ -14,18 +14,23 @@ let write_set t =
   List.filter_map (function Op.Write (i, _) -> Some i | Op.Read _ -> None) t.ops
   |> List.sort_uniq Int.compare
 
+(* The value of the last write to [item] in [ops], or [v] if none. *)
+let rec last_value item v = function
+  | [] -> v
+  | Op.Write (i, v') :: ops when Int.equal i item -> last_value item v' ops
+  | (Op.Write _ | Op.Read _) :: ops -> last_value item v ops
+
 let writes t =
-  (* Last write per item wins; preserve first-write program order. *)
-  let last = Hashtbl.create 8 in
-  List.iter (function Op.Write (i, v) -> Hashtbl.replace last i v | Op.Read _ -> ()) t.ops;
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (function
-      | Op.Write (i, _) when not (Hashtbl.mem seen i) ->
-        Hashtbl.replace seen i ();
-        Some (i, Hashtbl.find last i)
-      | Op.Write _ | Op.Read _ -> None)
-    t.ops
+  (* Last write per item wins; preserve first-write program order. Op
+     lists are short, so linear scans beat scratch tables here. *)
+  let rec collect acc = function
+    | [] -> List.rev acc
+    | Op.Write (i, v) :: ops ->
+      if List.exists (fun (j, _) -> Int.equal i j) acc then collect acc ops
+      else collect ((i, last_value i v ops) :: acc) ops
+    | Op.Read _ :: ops -> collect acc ops
+  in
+  collect [] t.ops
 
 let is_update t = List.exists Op.is_write t.ops
 let op_count t = List.length t.ops

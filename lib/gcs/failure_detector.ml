@@ -10,48 +10,57 @@ type t = {
   engine : Sim.Engine.t;
   peers : Net.Node_id.t list;  (* excluding self *)
   config : config;
-  last_heard : (int, Sim.Sim_time.t) Hashtbl.t;
+  (* Indexed by node index: the instant (in us) a peer was last heard
+     from, -1 if never. Covers the peers' indices only. *)
+  last_heard : int array;
   mutable suspected : Net.Node_id.Set.t;
+  (* [trusted]'s answer, recomputed after every change to [suspected]. *)
+  mutable trusted_memo : Net.Node_id.t list option;
   mutable change_hooks : (unit -> unit) list;
   mutable changes : int;
 }
+
+let set_suspected fd suspected =
+  fd.suspected <- suspected;
+  fd.trusted_memo <- None
 
 let notify_change fd =
   fd.changes <- fd.changes + 1;
   List.iter (fun f -> f ()) (List.rev fd.change_hooks)
 
+let now_us fd = Sim.Sim_time.to_us (Sim.Engine.now fd.engine)
+
 let heard fd peer =
-  Hashtbl.replace fd.last_heard (Net.Node_id.index peer) (Sim.Engine.now fd.engine);
+  let index = Net.Node_id.index peer in
+  if index < Array.length fd.last_heard then fd.last_heard.(index) <- now_us fd;
   if Net.Node_id.Set.mem peer fd.suspected then begin
-    fd.suspected <- Net.Node_id.Set.remove peer fd.suspected;
+    set_suspected fd (Net.Node_id.Set.remove peer fd.suspected);
     notify_change fd
   end
 
 let check_timeouts fd =
-  let now = Sim.Engine.now fd.engine in
+  let deadline = now_us fd - Sim.Sim_time.span_to_us fd.config.timeout in
   let newly_suspected =
     List.filter
       (fun peer ->
         (not (Net.Node_id.Set.mem peer fd.suspected))
         &&
-        match Hashtbl.find_opt fd.last_heard (Net.Node_id.index peer) with
-        | None -> true
-        | Some t ->
-          Sim.Sim_time.(now > Sim.Sim_time.add t fd.config.timeout))
+        let last = fd.last_heard.(Net.Node_id.index peer) in
+        last < 0 || deadline > last)
       fd.peers
   in
   if newly_suspected <> [] then begin
-    fd.suspected <-
-      List.fold_left (fun acc p -> Net.Node_id.Set.add p acc) fd.suspected newly_suspected;
+    set_suspected fd
+      (List.fold_left (fun acc p -> Net.Node_id.Set.add p acc) fd.suspected newly_suspected);
     notify_change fd
   end
 
 let reset_and_start fd =
-  Hashtbl.reset fd.last_heard;
-  fd.suspected <- Net.Node_id.Set.empty;
+  Array.fill fd.last_heard 0 (Array.length fd.last_heard) (-1);
+  set_suspected fd Net.Node_id.Set.empty;
   (* A fresh start trusts everyone for one full timeout. *)
-  let now = Sim.Engine.now fd.engine in
-  List.iter (fun p -> Hashtbl.replace fd.last_heard (Net.Node_id.index p) now) fd.peers;
+  let now = now_us fd in
+  List.iter (fun p -> fd.last_heard.(Net.Node_id.index p) <- now) fd.peers;
   let process = Net.Endpoint.process fd.endpoint in
   Sim.Process.periodic process ~every:fd.config.heartbeat_interval (fun () ->
       Net.Endpoint.broadcast fd.endpoint ~to_:fd.peers Heartbeat;
@@ -66,8 +75,12 @@ let create endpoint ~peers ?(config = default_config) () =
       engine = Net.Network.engine (Net.Endpoint.network endpoint);
       peers;
       config;
-      last_heard = Hashtbl.create 16;
+      last_heard =
+        Array.make
+          (1 + List.fold_left (fun m p -> Int.max m (Net.Node_id.index p)) (-1) peers)
+          (-1);
       suspected = Net.Node_id.Set.empty;
+      trusted_memo = None;
       change_hooks = [];
       changes = 0;
     }
@@ -89,9 +102,14 @@ let suspects fd n = Net.Node_id.Set.mem n fd.suspected
 let suspected fd = fd.suspected
 
 let trusted fd =
-  let self = Net.Endpoint.id fd.endpoint in
-  let up = List.filter (fun p -> not (Net.Node_id.Set.mem p fd.suspected)) fd.peers in
-  List.sort Net.Node_id.compare (self :: up)
+  match fd.trusted_memo with
+  | Some l -> l
+  | None ->
+    let self = Net.Endpoint.id fd.endpoint in
+    let up = List.filter (fun p -> not (Net.Node_id.Set.mem p fd.suspected)) fd.peers in
+    let l = List.sort Net.Node_id.compare (self :: up) in
+    fd.trusted_memo <- Some l;
+    l
 
 let on_change fd f = fd.change_hooks <- f :: fd.change_hooks
 let changes fd = fd.changes

@@ -289,7 +289,7 @@ module Make (V : VALUE) = struct
     else
     match m.leadership with
     | Leading l ->
-      Analysis.Det_tbl.iter
+      Analysis.Det_tbl.iter ~cmp:Int.compare
         (fun slot (e, _) ->
           Obs.Registry.inc m.m_accept_resends;
           match m.tuning.Bcast_tuning.dissemination with

@@ -17,7 +17,8 @@ type t = {
   engine : Sim.Engine.t;
   config : config;
   rng : Sim.Rng.t;
-  nodes : (int, registration) Hashtbl.t;
+  (* Indexed by node index; grown by [register]. *)
+  mutable nodes : registration option array;
   (* Partition as a map from node index to group number; unlisted nodes all
      share the implicit group [-1]. *)
   mutable groups : (int, int) Hashtbl.t option;
@@ -37,7 +38,7 @@ let create engine config =
     engine;
     config;
     rng = Sim.Rng.split (Sim.Engine.rng engine);
-    nodes = Hashtbl.create 32;
+    nodes = [||];
     groups = None;
     blocked_links = Hashtbl.create 8;
     drop_override = None;
@@ -50,11 +51,19 @@ let create engine config =
 
 let engine net = net.engine
 
+let registration net index = if index < Array.length net.nodes then net.nodes.(index) else None
+
 let register net ~id ~process ?cpu handler =
   let index = Node_id.index id in
-  if Hashtbl.mem net.nodes index then
+  if Option.is_some (registration net index) then
     invalid_arg (Format.asprintf "Network.register: %a already registered" Node_id.pp id);
-  Hashtbl.replace net.nodes index { process; cpu; handler }
+  let len = Array.length net.nodes in
+  if index >= len then begin
+    let nodes = Array.make (Int.max (index + 1) (2 * len)) None in
+    Array.blit net.nodes 0 nodes 0 len;
+    net.nodes <- nodes
+  end;
+  net.nodes.(index) <- Some { process; cpu; handler }
 
 let group_of groups index = match Hashtbl.find_opt groups index with Some g -> g | None -> -1
 
@@ -103,7 +112,7 @@ let duplicate_next net dst = Hashtbl.replace net.duplicate_next_to (Node_id.inde
    delivery instant, charge receive CPU if configured, then hand over. *)
 let deliver net message =
   let dst = Node_id.index message.Message.dst in
-  match Hashtbl.find_opt net.nodes dst with
+  match registration net dst with
   | None -> net.dropped <- net.dropped + 1
   | Some reg ->
     if (not (Sim.Process.alive reg.process)) || not (reachable net message.src message.dst) then
@@ -144,7 +153,7 @@ let transmit net ~src ~dst payload =
 (* Sends are charged to the sender's CPU (one charge per send or per
    broadcast) and silently vanish when the sender is already down. *)
 let with_sender_cpu net ~src action =
-  match Hashtbl.find_opt net.nodes (Node_id.index src) with
+  match registration net (Node_id.index src) with
   | None -> action ()
   | Some reg ->
     if Sim.Process.alive reg.process then begin

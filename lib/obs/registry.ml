@@ -73,7 +73,7 @@ type view = V_counter of int | V_gauge of int | V_hist of Histogram.t
 (* Sorted by metric name, so every consumer — exporters, report tables,
    merges — enumerates in one canonical order. *)
 let bindings t =
-  Analysis.Det_tbl.bindings t.metrics
+  Analysis.Det_tbl.bindings ~cmp:String.compare t.metrics
   |> List.map (fun (name, m) ->
          ( name,
            match m with
@@ -82,7 +82,7 @@ let bindings t =
            | Hist h -> V_hist h ))
 
 let merge_into ~into src =
-  Analysis.Det_tbl.iter
+  Analysis.Det_tbl.iter ~cmp:String.compare
     (fun name m ->
       match m with
       | Counter r -> add (counter into name) !r
@@ -91,7 +91,7 @@ let merge_into ~into src =
     src.metrics
 
 let merge_prefixed ~into ~prefix src =
-  Analysis.Det_tbl.iter
+  Analysis.Det_tbl.iter ~cmp:String.compare
     (fun name m ->
       let name = prefix ^ name in
       match m with

@@ -36,6 +36,36 @@ let test_transaction_empty_rejected () =
   Alcotest.check_raises "empty" (Invalid_argument "Transaction.make: no operations") (fun () ->
       ignore (Db.Transaction.make ~id:1 ~client:0 []))
 
+(* [Transaction.writes] before it dropped its scratch tables: the last
+   value per item from one [Hashtbl], first-write order from another. *)
+let two_table_writes (t : Db.Transaction.t) =
+  let last = Hashtbl.create 8 in
+  List.iter (function Db.Op.Write (i, v) -> Hashtbl.replace last i v | Db.Op.Read _ -> ()) t.ops;
+  let seen = Hashtbl.create 8 in
+  List.filter_map
+    (function
+      | Db.Op.Write (i, _) when not (Hashtbl.mem seen i) ->
+        Hashtbl.replace seen i ();
+        Some (i, Hashtbl.find last i)
+      | Db.Op.Write _ | Db.Op.Read _ -> None)
+    t.ops
+
+let prop_writes_match_two_table_version =
+  (* Few items and many ops: items are rewritten, reads interleave. *)
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> Db.Op.Read i) (int_range 0 6);
+          map2 (fun i v -> Db.Op.Write (i, v)) (int_range 0 6) (int_range 0 99);
+        ])
+  in
+  QCheck2.Test.make ~name:"writes equals the two-table version" ~count:500
+    QCheck2.Gen.(list_size (int_range 1 25) op)
+    (fun ops ->
+      let tx = Db.Transaction.make ~id:1 ~client:0 ops in
+      Db.Transaction.writes tx = two_table_writes tx)
+
 (* ---- Lock_table ---- *)
 
 let test_locks_shared_compatible () =
@@ -217,6 +247,144 @@ let prop_certifier_admits_only_serialisable_histories =
         specs;
       !ok)
 
+(* The certifier before it became a dense window: a polymorphic [Hashtbl]
+   from item to last-writing version. The reference the window must match
+   decision for decision and export for export. *)
+module Hashtbl_certifier = struct
+  type t = {
+    mutable version : int;
+    last_written : (int, int) Hashtbl.t;
+    mutable commits : int;
+    mutable aborts : int;
+  }
+
+  let create () = { version = 0; last_written = Hashtbl.create 1024; commits = 0; aborts = 0 }
+
+  let certify c ~start ~ws =
+    let stale item =
+      match Hashtbl.find_opt c.last_written item with Some v -> v > start | None -> false
+    in
+    if List.exists stale ws.Db.Transaction.read_items then begin
+      c.aborts <- c.aborts + 1;
+      Db.Certifier.Abort
+    end
+    else begin
+      c.version <- c.version + 1;
+      List.iter
+        (fun (item, _) -> Hashtbl.replace c.last_written item c.version)
+        ws.Db.Transaction.write_values;
+      c.commits <- c.commits + 1;
+      Db.Certifier.Commit
+    end
+
+  let reset c =
+    c.version <- 0;
+    Hashtbl.reset c.last_written;
+    c.commits <- 0;
+    c.aborts <- 0
+
+  let export c =
+    ( c.version,
+      Analysis.Det_tbl.fold ~cmp:Int.compare (fun item v acc -> (item, v) :: acc) c.last_written []
+    )
+
+  let import c ~version ~bindings =
+    reset c;
+    c.version <- version;
+    List.iter (fun (item, v) -> Hashtbl.replace c.last_written item v) bindings
+
+  let note_commit c ~write_items =
+    c.version <- c.version + 1;
+    List.iter (fun item -> Hashtbl.replace c.last_written item c.version) write_items
+end
+
+type cert_op =
+  | Cert_certify of int * int list * int list  (** snapshot lag, reads, writes *)
+  | Cert_note_commit of int list
+  | Cert_reset
+  | Cert_last_writer of int
+  | Cert_transfer  (** export, then import into a fresh certifier *)
+
+let prop_certifier_matches_hashtbl_model =
+  (* Items come from two far-apart clusters and the first write lands in
+     the high one, so the window must grow downwards as well as upwards. *)
+  let item = QCheck2.Gen.(oneof [ int_range 0 30; int_range 9_000 9_030 ]) in
+  let items = QCheck2.Gen.(list_size (int_range 0 5) item) in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map3 (fun lag r w -> Cert_certify (lag, r, w)) (int_range 0 6) items items);
+          (2, map (fun w -> Cert_note_commit w) items);
+          (1, pure Cert_reset);
+          (2, map (fun i -> Cert_last_writer i) (oneof [ item; int_range 0 10_000 ]));
+          (1, pure Cert_transfer);
+        ])
+  in
+  let gen = QCheck2.Gen.(pair (int_range 9_000 9_030) (list_size (int_range 1 80) op)) in
+  QCheck2.Test.make ~name:"certifier window matches the hashtable certifier" ~count:300 gen
+    (fun (first, ops) ->
+      let c = ref (Db.Certifier.create ()) and m = ref (Hashtbl_certifier.create ()) in
+      let same_state () =
+        Db.Certifier.current_version !c = !m.Hashtbl_certifier.version
+        && Db.Certifier.commits !c = !m.Hashtbl_certifier.commits
+        && Db.Certifier.aborts !c = !m.Hashtbl_certifier.aborts
+      in
+      let step = function
+        | Cert_certify (lag, reads, writes) ->
+          let start = max 0 (Db.Certifier.current_version !c - lag) in
+          let ws =
+            {
+              Db.Transaction.tx_id = 0;
+              ws_client = 0;
+              read_items = reads;
+              write_values = List.map (fun i -> (i, 0)) writes;
+            }
+          in
+          Db.Certifier.decision_equal (Db.Certifier.certify !c ~start ~ws)
+            (Hashtbl_certifier.certify !m ~start ~ws)
+        | Cert_note_commit write_items ->
+          Db.Certifier.note_commit !c ~write_items;
+          Hashtbl_certifier.note_commit !m ~write_items;
+          true
+        | Cert_reset ->
+          Db.Certifier.reset !c;
+          Hashtbl_certifier.reset !m;
+          true
+        | Cert_last_writer i ->
+          Option.equal Int.equal (Db.Certifier.last_writer !c i)
+            (Hashtbl.find_opt !m.Hashtbl_certifier.last_written i)
+        | Cert_transfer ->
+          let version, bindings = Db.Certifier.export !c in
+          let m_version, m_bindings = Hashtbl_certifier.export !m in
+          c := Db.Certifier.create ();
+          Db.Certifier.import !c ~version ~bindings;
+          m := Hashtbl_certifier.create ();
+          Hashtbl_certifier.import !m ~version:m_version ~bindings:m_bindings;
+          version = m_version && bindings = m_bindings
+      in
+      List.for_all
+        (fun op -> step op && same_state ())
+        (Cert_note_commit [ first ] :: ops)
+      && Db.Certifier.export !c = Hashtbl_certifier.export !m)
+
+let test_certifier_rejects_negative_items () =
+  let c = Db.Certifier.create () in
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Certifier: negative item") (fun () ->
+        ignore (f ()))
+  in
+  let certify ~reads ~writes = Db.Certifier.certify c ~start:0 ~ws:(ws ~id:1 ~reads ~writes) in
+  raises "certify write" (fun () -> certify ~reads:[] ~writes:[ -1 ]);
+  raises "certify read" (fun () -> certify ~reads:[ -3 ] ~writes:[]);
+  raises "check_only" (fun () -> Db.Certifier.check_only c ~start:0 ~read_items:[ -2 ]);
+  raises "note_commit" (fun () -> Db.Certifier.note_commit c ~write_items:[ 4; -5 ]);
+  raises "last_writer" (fun () -> Db.Certifier.last_writer c (-1));
+  raises "import" (fun () -> Db.Certifier.import c ~version:1 ~bindings:[ (-7, 1) ]);
+  Alcotest.check_raises "import version 0"
+    (Invalid_argument "Certifier.import: versions start at 1") (fun () ->
+      Db.Certifier.import c ~version:1 ~bindings:[ (7, 0) ])
+
 let prop_lock_table_exclusion =
   (* Random acquire/release schedules: at no point may an exclusive holder
      coexist with any other holder on the same item, and when every
@@ -387,6 +555,7 @@ let () =
           Alcotest.test_case "read/write sets" `Quick test_transaction_sets;
           Alcotest.test_case "read-only" `Quick test_transaction_read_only;
           Alcotest.test_case "empty rejected" `Quick test_transaction_empty_rejected;
+          QCheck_alcotest.to_alcotest prop_writes_match_two_table_version;
         ] );
       ( "lock_table",
         [
@@ -401,8 +570,13 @@ let () =
         :: Alcotest.test_case "stale read aborts" `Quick test_certifier_stale_read_aborts
         :: Alcotest.test_case "blind writes commit" `Quick test_certifier_write_write_no_abort
         :: Alcotest.test_case "deterministic" `Quick test_certifier_determinism_across_replicas
+        :: Alcotest.test_case "negative items rejected" `Quick test_certifier_rejects_negative_items
         :: List.map (fun t -> QCheck_alcotest.to_alcotest t)
-             [ prop_certifier_admits_only_serialisable_histories; prop_lock_table_exclusion ] );
+             [
+               prop_certifier_admits_only_serialisable_histories;
+               prop_certifier_matches_hashtbl_model;
+               prop_lock_table_exclusion;
+             ] );
       ("testable_tx", [ Alcotest.test_case "dedup" `Quick test_testable_dedup ]);
       ( "db_engine",
         [

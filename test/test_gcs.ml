@@ -965,6 +965,76 @@ let prop_fd_eventually_suspects_and_clears =
           && Failure_detector.changes fd >= before + 2)
         rounds)
 
+(* ---- Property: [trusted] always matches the suspect set ---- *)
+
+(* [trusted] is memoised. Over a random kill/restart/partition/heal
+   schedule on four members, after every simulated event, each detector's
+   answer must equal the list rebuilt from [suspected]: self plus the
+   unsuspected peers, sorted by index. A change to the suspect set that
+   left the memo standing shows up as a mismatch at the next event. *)
+type fd_fault = Fd_kill of int | Fd_restart of int | Fd_partition of bool list | Fd_heal
+
+let prop_fd_trusted_matches_suspected =
+  let n = 4 in
+  let fault =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun i -> Fd_kill i) (int_range 0 (n - 1));
+          map (fun i -> Fd_restart i) (int_range 0 (n - 1));
+          map (fun side -> Fd_partition side) (list_repeat n bool);
+          pure Fd_heal;
+        ])
+  in
+  (* The schedule opens with a kill left standing for 100 ms, so every run
+     sees suspicions raised. *)
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 0 (n - 1)) (list_size (int_range 1 12) (pair (int_range 0 120) fault)))
+  in
+  QCheck2.Test.make ~name:"fd: trusted equals self plus unsuspected peers" ~count:100 gen
+    (fun (first, rest) ->
+      let schedule = (0, Fd_kill first) :: (100, Fd_heal) :: rest in
+      let c = make_cluster n in
+      let fds = Array.map (fun ep -> Failure_detector.create ep ~peers:(group c) ()) c.endpoints in
+      let apply = function
+        | Fd_kill i -> Sim.Process.kill c.processes.(i)
+        | Fd_restart i -> Sim.Process.restart c.processes.(i)
+        | Fd_partition side ->
+          let members keep =
+            List.filteri (fun i _ -> Bool.equal (List.nth side i) keep) (group c)
+          in
+          Net.Network.partition c.network [ members true; members false ]
+        | Fd_heal -> Net.Network.heal c.network
+      in
+      let at = ref 0 in
+      List.iter
+        (fun (gap_ms, f) ->
+          at := !at + gap_ms;
+          ignore (Sim.Engine.schedule c.engine ~delay:(ms (float_of_int !at)) (fun () -> apply f)))
+        schedule;
+      let expected i =
+        let suspected = Failure_detector.suspected fds.(i) in
+        List.filter
+          (fun p -> Net.Node_id.equal p c.ids.(i) || not (Net.Node_id.Set.mem p suspected))
+          (group c)
+      in
+      let agree () =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i fd -> List.equal Net.Node_id.equal (Failure_detector.trusted fd) (expected i))
+             fds)
+      in
+      let horizon = Sim.Sim_time.add Sim.Sim_time.zero (ms (float_of_int (!at + 300))) in
+      let rec drive changes =
+        if Sim.Sim_time.(Sim.Engine.now c.engine >= horizon) || not (Sim.Engine.step c.engine)
+        then changes > 0
+        else
+          agree ()
+          && drive (Array.fold_left (fun acc fd -> acc + Failure_detector.changes fd) 0 fds)
+      in
+      drive 0)
+
 (* ---- Property: the delivery gate holds, orders and always releases ---- *)
 
 (* Each generated item is (arrival offset, extra hold): deliveries enter
@@ -1027,7 +1097,7 @@ let () =
       ( "failure_detector",
         Alcotest.test_case "suspects and recovers" `Quick test_fd_suspects_and_recovers
         :: Alcotest.test_case "change hook" `Quick test_fd_change_hook
-        :: qsuite [ prop_fd_eventually_suspects_and_clears ] );
+        :: qsuite [ prop_fd_eventually_suspects_and_clears; prop_fd_trusted_matches_suspected ] );
       ( "retransmit",
         [
           Alcotest.test_case "backoff and cap" `Quick test_retransmit_backoff_and_cap;

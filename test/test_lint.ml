@@ -137,20 +137,24 @@ let test_det_tbl_equal_tables () =
     Hashtbl.remove b k
   done;
   Alcotest.(check (list (pair int int)))
-    "bindings agree" (Analysis.Det_tbl.bindings a) (Analysis.Det_tbl.bindings b);
+    "bindings agree"
+    (Analysis.Det_tbl.bindings ~cmp:Int.compare a)
+    (Analysis.Det_tbl.bindings ~cmp:Int.compare b);
   Alcotest.(check (list (pair int int)))
     "bindings are key-sorted"
     (List.init 100 (fun k -> (k, k * 10)))
-    (Analysis.Det_tbl.bindings a);
+    (Analysis.Det_tbl.bindings ~cmp:Int.compare a);
   let render tbl =
     let buf = Buffer.create 256 in
-    Analysis.Det_tbl.iter (fun k v -> Buffer.add_string buf (Printf.sprintf "%d=%d;" k v)) tbl;
+    Analysis.Det_tbl.iter ~cmp:Int.compare
+      (fun k v -> Buffer.add_string buf (Printf.sprintf "%d=%d;" k v))
+      tbl;
     Buffer.contents buf
   in
   Alcotest.(check string) "rendered output identical" (render a) (render b);
   check_int "fold agrees too"
-    (Analysis.Det_tbl.fold (fun k v acc -> acc + (k * v)) a 0)
-    (Analysis.Det_tbl.fold (fun k v acc -> acc + (k * v)) b 0)
+    (Analysis.Det_tbl.fold ~cmp:Int.compare (fun k v acc -> acc + (k * v)) a 0)
+    (Analysis.Det_tbl.fold ~cmp:Int.compare (fun k v acc -> acc + (k * v)) b 0)
 
 let test_det_tbl_shadowed_bindings () =
   (* Hashtbl.add shadowing: only the visible binding is enumerated, once. *)
@@ -161,8 +165,8 @@ let test_det_tbl_shadowed_bindings () =
   Alcotest.(check (list (pair int string)))
     "latest binding only"
     [ (1, "new"); (2, "two") ]
-    (Analysis.Det_tbl.bindings t);
-  check_int "keys deduplicated" 2 (List.length (Analysis.Det_tbl.sorted_keys t))
+    (Analysis.Det_tbl.bindings ~cmp:Int.compare t);
+  check_int "keys deduplicated" 2 (List.length (Analysis.Det_tbl.sorted_keys ~cmp:Int.compare t))
 
 let test_det_tbl_custom_compare () =
   let t = Hashtbl.create 4 in

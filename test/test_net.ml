@@ -258,6 +258,43 @@ let test_duplicate_registration_rejected () =
     (Invalid_argument "Network.register: N0 already registered") (fun () ->
       ignore (Endpoint.attach f.network ~id:f.ids.(0) ~process:f.processes.(0) ()))
 
+let test_sparse_out_of_order_registration () =
+  (* The node table is indexed by node index: registering 17, then 3, then
+     40 must grow it without disturbing earlier entries, leave the holes
+     unregistered, and still reject a repeat. *)
+  let engine = Sim.Engine.create () in
+  let network = Network.create engine Network.lan_config in
+  let got = ref [] in
+  let attach i =
+    let id = node i in
+    Network.register network ~id ~process:(Sim.Process.create engine ~name:(Node_id.label id))
+      (fun m ->
+        match m.Message.payload with
+        | Ping v -> got := (i, Node_id.index m.Message.src, v) :: !got
+        | _ -> ())
+  in
+  List.iter attach [ 17; 3; 40 ];
+  Network.send network ~src:(node 3) ~dst:(node 40) (Ping 1);
+  Network.send network ~src:(node 40) ~dst:(node 17) (Ping 2);
+  Network.send network ~src:(node 17) ~dst:(node 3) (Ping 3);
+  Network.send network ~src:(node 17) ~dst:(node 5) (Ping 4);
+  Network.send network ~src:(node 3) ~dst:(node 99) (Ping 5);
+  Sim.Engine.run engine;
+  Alcotest.(check (list (triple int int int)))
+    "registered nodes receive" [ (3, 17, 3); (17, 40, 2); (40, 3, 1) ]
+    (List.sort compare !got);
+  check_int "holes and unknown indices drop" 2 (Network.messages_dropped network);
+  List.iter
+    (fun i ->
+      Alcotest.check_raises "duplicate id"
+        (Invalid_argument (Printf.sprintf "Network.register: N%d already registered" i))
+        (fun () -> attach i))
+    [ 3; 17; 40 ];
+  attach 5;
+  Network.send network ~src:(node 40) ~dst:(node 5) (Ping 6);
+  Sim.Engine.run engine;
+  check_bool "a hole can still be filled" true (List.mem (5, 40, 6) !got)
+
 let () =
   Alcotest.run "net"
     [
@@ -290,5 +327,7 @@ let () =
           Alcotest.test_case "unknown payload" `Quick test_endpoint_dispatch_unknown_payload;
           Alcotest.test_case "handler priority" `Quick test_endpoint_handler_priority;
           Alcotest.test_case "duplicate registration" `Quick test_duplicate_registration_rejected;
+          Alcotest.test_case "sparse out-of-order registration" `Quick
+            test_sparse_out_of_order_registration;
         ] );
     ]

@@ -139,7 +139,7 @@ let test_zipf_det_tbl_stable () =
       let k = Workload.Zipf.sample z rng in
       Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
     done;
-    Analysis.Det_tbl.bindings tbl
+    Analysis.Det_tbl.bindings ~cmp:Int.compare tbl
   in
   let b1 = count () and b2 = count () in
   Alcotest.(check (list (pair int int))) "deterministic bindings" b1 b2;

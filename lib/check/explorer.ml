@@ -92,9 +92,184 @@ let render_highlights sys =
   in
   String.concat "\n" (List.map Sim.Trace.render_entry entries)
 
+(* ---- the checker core over replica groups ----
+
+   A deployment under test is an array of replica groups of [sps] servers
+   each; global server [gi] is server [gi mod sps] of group [gi / sps].
+   The explorer checks one group, [Shard.Shard_check] one group per shard:
+   both drive their groups through [interpret], [repair] and [oracles]. *)
+
+let interpret ~holds groups schedule =
+  let sps = System.n_servers groups.(0) in
+  let at g delay f = ignore (Sim.Engine.schedule (System.engine groups.(g)) ~delay f) in
+  (* Loss windows may overlap (two Drop_window events, or a shrink that
+     moved one); an epoch guard keeps the close of an earlier window from
+     cutting a later one short. Loss windows are guarded per group,
+     slow-disk and disk-full windows per server. *)
+  let drop_epoch = Array.make (Array.length groups) 0 in
+  let slow_epoch = Array.make (Array.length groups * sps) 0 in
+  let full_epoch = Array.make (Array.length groups * sps) 0 in
+  List.iter
+    (fun e ->
+      let on_server gi f =
+        at (gi / sps) e.Schedule.at (fun () -> f groups.(gi / sps) (gi mod sps))
+      in
+      let on_groups f = Array.iteri (fun g sys -> at g e.Schedule.at (fun () -> f g sys)) groups in
+      let window epochs k g until ~open_ ~close =
+        epochs.(k) <- epochs.(k) + 1;
+        let epoch = epochs.(k) in
+        open_ ();
+        at g
+          (Sim.Sim_time.span_us
+             (Int.max 0 (Sim.Sim_time.span_to_us until - Sim.Sim_time.span_to_us e.Schedule.at)))
+          (fun () -> if epochs.(k) = epoch then close ())
+      in
+      match e.Schedule.kind with
+      | Schedule.Crash gi -> on_server gi System.crash
+      | Schedule.Recover gi -> on_server gi System.recover
+      | Schedule.Delay (gi, d) -> on_server gi (fun _ _ -> holds.(gi) <- d)
+      | Schedule.Partition cut ->
+        (* Each group is cut along its own members; a group the partition
+           names no member of is left alone. *)
+        Array.iteri
+          (fun g sys ->
+            let local members =
+              match List.filter (fun gi -> gi / sps = g) members with
+              | [] -> None
+              | own -> Some (List.map (fun gi -> gi mod sps) own)
+            in
+            match List.filter_map local cut with
+            | [] -> ()
+            | local_cut -> at g e.Schedule.at (fun () -> System.partition sys local_cut))
+          groups
+      | Schedule.Heal -> on_groups (fun _ sys -> System.heal sys)
+      | Schedule.Drop_window { prob; until } ->
+        on_groups (fun g sys ->
+            window drop_epoch g g until
+              ~open_:(fun () -> System.set_drop sys (Some prob))
+              ~close:(fun () -> System.set_drop sys None))
+      | Schedule.Duplicate_next gi -> on_server gi System.duplicate_next
+      | Schedule.Torn_write gi ->
+        on_server gi (fun sys l -> System.inject_storage_fault sys l Db.Db_engine.Torn_write)
+      | Schedule.Fsync_lie gi ->
+        on_server gi (fun sys l -> System.inject_storage_fault sys l Db.Db_engine.Fsync_lie)
+      | Schedule.Corrupt_record gi ->
+        on_server gi (fun sys l -> System.inject_storage_fault sys l Db.Db_engine.Corrupt_record)
+      | Schedule.Slow_disk { server = gi; factor; until } ->
+        on_server gi (fun sys l ->
+            window slow_epoch gi (gi / sps) until
+              ~open_:(fun () -> System.set_disk_slow sys l factor)
+              ~close:(fun () -> System.set_disk_slow sys l 1.0))
+      | Schedule.Disk_full { server = gi; until } ->
+        on_server gi (fun sys l ->
+            window full_epoch gi (gi / sps) until
+              ~open_:(fun () -> System.set_disk_full sys l true)
+              ~close:(fun () -> System.set_disk_full sys l false)))
+    schedule.Schedule.events
+
+(* Recover everyone and let the groups settle: a transaction the oracle
+   still cannot find afterwards is permanently lost, not merely down with
+   a crashed server. Network faults heal first — "lost" must mean lost on
+   a connected network, not unreachable behind a partition. Storage
+   windows close too: a disk left full (or 100x slow) past the horizon
+   would wedge recovery itself, and "lost" must mean lost on a working
+   disk, not stuck behind a parked append. Each repair is traced, so only
+   the fault classes the schedule used are repaired. *)
+let repair groups schedule =
+  let uses p = List.exists (fun e -> p e.Schedule.kind) schedule.Schedule.events in
+  let network =
+    uses (function
+      | Schedule.Partition _ | Schedule.Heal | Schedule.Drop_window _ | Schedule.Duplicate_next _ ->
+        true
+      | Schedule.Crash _ | Schedule.Recover _ | Schedule.Delay _ | Schedule.Torn_write _
+      | Schedule.Fsync_lie _ | Schedule.Corrupt_record _ | Schedule.Slow_disk _
+      | Schedule.Disk_full _ ->
+        false)
+  in
+  let disks = uses (function Schedule.Slow_disk _ | Schedule.Disk_full _ -> true | _ -> false) in
+  Array.iter
+    (fun sys ->
+      let n = System.n_servers sys in
+      if network then begin
+        System.heal sys;
+        System.set_drop sys None
+      end;
+      if disks then
+        for i = 0 to n - 1 do
+          System.set_disk_slow sys i 1.0;
+          System.set_disk_full sys i false
+        done;
+      for i = 0 to n - 1 do
+        System.recover sys i
+      done)
+    groups
+
+let oracles ?(trace = false) config ~delegate_crashed groups schedule =
+  (* In storage mode the durability oracle subsumes the loss predicate: it
+     applies the same Table-3 permissions and additionally excuses (while
+     still reporting) losses where every replica's WAL was betrayed — no
+     level survives total betrayal — and demands that recovery repaired
+     every injected torn tail and detected every corruption. *)
+  let safety =
+    Array.mapi
+      (fun g sys ->
+        let report = Safety_checker.analyse sys in
+        let delegate_crashed = delegate_crashed g in
+        let durability =
+          if config.storage then Some (Durability.certify ~delegate_crashed sys report) else None
+        in
+        let lost =
+          match durability with
+          | Some v -> not v.Durability.clean
+          | None -> (
+            match config.predicate with
+            | Any_loss -> report.Safety_checker.lost <> []
+            | Violation -> not (Safety_checker.losses_allowed report ~delegate_crashed))
+        in
+        (report, durability, lost))
+      groups
+  in
+  (* In nemesis mode the oracle is two-part: loss-freedom above, then
+     healing convergence — every acked update on every serving server and
+     a fresh probe committing. Certified after every group's [analyse] so
+     no probe can perturb a loss report; group [g]'s probe is transaction
+     [1_000_000 + g]. *)
+  let converge =
+    Array.mapi
+      (fun g sys ->
+        if config.nemesis then Some (Convergence.certify ~probe_tx_id:(1_000_000 + g) sys)
+        else None)
+      groups
+  in
+  Array.mapi
+    (fun g sys ->
+      let report, durability, lost = safety.(g) in
+      (* The liveness oracle is observation-only, so it stacks last: the
+         convergence probe has already run (liveness implies nemesis) and
+         lands in the submission books — a probe that never came back
+         shows up as a wedged transaction here too. *)
+      let liveness =
+        if config.liveness then Some (Liveness.certify ?max_decision_us:config.max_decision_us sys)
+        else None
+      in
+      {
+        schedule;
+        report;
+        converge = converge.(g);
+        liveness;
+        durability;
+        failed =
+          lost
+          || (match converge.(g) with Some v -> not v.Convergence.converged | None -> false)
+          || (match liveness with Some v -> not v.Liveness.live | None -> false);
+        trace = (if trace then Sim.Trace.render (System.trace sys) else "");
+        highlights = (if trace then render_highlights sys else "");
+      })
+    groups
+
 let run ?(trace = false) config schedule =
-  let params = { config.params with Workload.Params.servers = schedule.Schedule.servers } in
   let n = schedule.Schedule.servers in
+  let params = { config.params with Workload.Params.servers = n } in
   (* Delivery-delay gates: a mutable hold per server, read by the gate on
      every delivery, written by the schedule's Delay events. Only servers
      the schedule actually delays get a gate, so delay-free schedules run
@@ -102,36 +277,8 @@ let run ?(trace = false) config schedule =
   let holds = Array.make n Sim.Sim_time.span_zero in
   let gated = Array.make n false in
   List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Delay (i, _) -> gated.(i) <- true
-      | Schedule.Crash _ | Schedule.Recover _ | Schedule.Partition _ | Schedule.Heal
-      | Schedule.Drop_window _ | Schedule.Duplicate_next _ | Schedule.Torn_write _
-      | Schedule.Fsync_lie _ | Schedule.Corrupt_record _ | Schedule.Slow_disk _
-      | Schedule.Disk_full _ ->
-        ())
+    (fun e -> match e.Schedule.kind with Schedule.Delay (i, _) -> gated.(i) <- true | _ -> ())
     schedule.Schedule.events;
-  let has_nemesis =
-    List.exists
-      (fun e ->
-        match e.Schedule.kind with
-        | Schedule.Partition _ | Schedule.Heal | Schedule.Drop_window _
-        | Schedule.Duplicate_next _ ->
-          true
-        | Schedule.Crash _ | Schedule.Recover _ | Schedule.Delay _ | Schedule.Torn_write _
-        | Schedule.Fsync_lie _ | Schedule.Corrupt_record _ | Schedule.Slow_disk _
-        | Schedule.Disk_full _ ->
-          false)
-      schedule.Schedule.events
-  in
-  let has_storage_windows =
-    List.exists
-      (fun e ->
-        match e.Schedule.kind with
-        | Schedule.Slow_disk _ | Schedule.Disk_full _ -> true
-        | _ -> false)
-      schedule.Schedule.events
-  in
   let delivery_delay i = if gated.(i) then Some (fun () -> holds.(i)) else None in
   let sys =
     System.create ~seed:config.system_seed ~params ~fd_config:config.fd
@@ -140,140 +287,31 @@ let run ?(trace = false) config schedule =
   (* Oracle-mutation hook: deliberate protocol breakage installed before
      any load, so mutation tests exercise the whole run. *)
   config.mutate sys;
-  let engine = System.engine sys in
-  let at delay f = ignore (Sim.Engine.schedule engine ~delay f) in
   (* The fixed load: write-only transactions on disjoint items, delegates
      round-robin. A submission to a crashed delegate is skipped — the
      client could not have reached it. *)
-  let delegate_of = Hashtbl.create 8 in
   for i = 0 to schedule.Schedule.txs - 1 do
     let delegate = i mod n in
-    Hashtbl.replace delegate_of i delegate;
     let tx =
       Db.Transaction.make ~id:i ~client:0
         [ Db.Op.Write (2 * i, i + 1); Db.Op.Write ((2 * i) + 1, i + 1) ]
     in
-    at
-      (span_mul schedule.Schedule.spacing i)
-      (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx)
+    ignore
+      (Sim.Engine.schedule (System.engine sys)
+         ~delay:(span_mul schedule.Schedule.spacing i)
+         (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx))
   done;
-  (* Loss windows may overlap (two Drop_window events, or a shrink that
-     moved one); an epoch guard keeps the close of an earlier window from
-     cutting a later one short. Slow-disk and disk-full windows get the
-     same guard, per server. *)
-  let drop_epoch = ref 0 in
-  let slow_epoch = Array.make n 0 in
-  let full_epoch = Array.make n 0 in
-  let window_remaining e until =
-    Sim.Sim_time.span_us
-      (Int.max 0 (Sim.Sim_time.span_to_us until - Sim.Sim_time.span_to_us e.Schedule.at))
-  in
-  List.iter
-    (fun e ->
-      at e.Schedule.at (fun () ->
-          match e.Schedule.kind with
-          | Schedule.Crash i -> System.crash sys i
-          | Schedule.Recover i -> System.recover sys i
-          | Schedule.Delay (i, d) -> holds.(i) <- d
-          | Schedule.Partition groups -> System.partition sys groups
-          | Schedule.Heal -> System.heal sys
-          | Schedule.Drop_window { prob; until } ->
-            incr drop_epoch;
-            let epoch = !drop_epoch in
-            System.set_drop sys (Some prob);
-            at (window_remaining e until) (fun () ->
-                if !drop_epoch = epoch then System.set_drop sys None)
-          | Schedule.Duplicate_next i -> System.duplicate_next sys i
-          | Schedule.Torn_write i -> System.inject_storage_fault sys i Db.Db_engine.Torn_write
-          | Schedule.Fsync_lie i -> System.inject_storage_fault sys i Db.Db_engine.Fsync_lie
-          | Schedule.Corrupt_record i ->
-            System.inject_storage_fault sys i Db.Db_engine.Corrupt_record
-          | Schedule.Slow_disk { server; factor; until } ->
-            slow_epoch.(server) <- slow_epoch.(server) + 1;
-            let epoch = slow_epoch.(server) in
-            System.set_disk_slow sys server factor;
-            at (window_remaining e until) (fun () ->
-                if slow_epoch.(server) = epoch then System.set_disk_slow sys server 1.0)
-          | Schedule.Disk_full { server; until } ->
-            full_epoch.(server) <- full_epoch.(server) + 1;
-            let epoch = full_epoch.(server) in
-            System.set_disk_full sys server true;
-            at (window_remaining e until) (fun () ->
-                if full_epoch.(server) = epoch then System.set_disk_full sys server false)))
-    schedule.Schedule.events;
+  let groups = [| sys |] in
+  interpret ~holds groups schedule;
   System.run_for sys config.horizon;
-  (* Recover everyone and let the group settle: a transaction the oracle
-     still cannot find afterwards is permanently lost, not merely down
-     with a crashed server. Network faults heal first — "lost" must mean
-     lost on a connected network, not unreachable behind a partition. *)
-  if has_nemesis then begin
-    System.heal sys;
-    System.set_drop sys None
-  end;
-  (* Storage windows close too: a disk left full (or 100x slow) past the
-     horizon would wedge recovery itself, and "lost" must mean lost on a
-     working disk, not stuck behind a parked append. *)
-  if has_storage_windows then
-    for i = 0 to n - 1 do
-      System.set_disk_slow sys i 1.0;
-      System.set_disk_full sys i false
-    done;
-  for i = 0 to n - 1 do
-    System.recover sys i
-  done;
+  repair groups schedule;
   System.run_for sys config.quiescence;
-  let report = Safety_checker.analyse sys in
-  let delegate_crashed tx_id =
-    match Hashtbl.find_opt delegate_of tx_id with
-    | None -> false
-    | Some d -> (System.history sys d).Gcs.Process_class.crashes <> []
+  let delegate_crashed _ tx_id =
+    tx_id >= 0
+    && tx_id < schedule.Schedule.txs
+    && (System.history sys (tx_id mod n)).Gcs.Process_class.crashes <> []
   in
-  (* In storage mode the durability oracle subsumes the loss predicate: it
-     applies the same Table-3 permissions and additionally excuses (while
-     still reporting) losses where every replica's WAL was betrayed — no
-     level survives total betrayal — and demands that recovery repaired
-     every injected torn tail and detected every corruption. *)
-  let durability =
-    if config.storage then Some (Durability.certify ~delegate_crashed sys report) else None
-  in
-  let failed =
-    match durability with
-    | Some v -> not v.Durability.clean
-    | None -> (
-      match config.predicate with
-      | Any_loss -> report.Safety_checker.lost <> []
-      | Violation -> not (Safety_checker.losses_allowed report ~delegate_crashed))
-  in
-  (* In nemesis mode the oracle is two-part: loss-freedom above, then
-     healing convergence — every acked update on every serving server and
-     a fresh probe committing. Certified after [analyse] so the probe
-     cannot perturb the loss report. *)
-  let converge = if config.nemesis then Some (Convergence.certify sys) else None in
-  let failed =
-    failed || match converge with Some v -> not v.Convergence.converged | None -> false
-  in
-  (* The liveness oracle is observation-only, so it stacks last: the
-     convergence probe has already run (liveness implies nemesis) and
-     lands in the submission books — a probe that never came back shows up
-     as a wedged transaction here too. *)
-  let liveness =
-    if config.liveness then
-      Some (Liveness.certify ?max_decision_us:config.max_decision_us sys)
-    else None
-  in
-  let failed =
-    failed || match liveness with Some v -> not v.Liveness.live | None -> false
-  in
-  {
-    schedule;
-    report;
-    converge;
-    liveness;
-    durability;
-    failed;
-    trace = (if trace then Sim.Trace.render (System.trace sys) else "");
-    highlights = (if trace then render_highlights sys else "");
-  }
+  (oracles ~trace config ~delegate_crashed groups schedule).(0)
 
 (* ---- generation ---- *)
 
@@ -561,14 +599,14 @@ let random_fair_schedule ?(max_attempts = 3) config rng ~max_events ~note =
 
 type phase = Exhaustive | Random_storm
 
-type counterexample = {
+type 'o counterexample = {
   original : Schedule.t;
   found_in : phase;
   runs_to_find : int;
   shrunk : Schedule.t;
   shrink_rounds : int;
   shrink_runs : int;
-  outcome : outcome;
+  outcome : 'o;
 }
 
 type result = {
@@ -577,21 +615,15 @@ type result = {
   budget : int;
   runs : int;
   rejections : (string * int) list;
-  counterexample : counterexample option;
+  counterexample : outcome counterexample option;
 }
 
-(* Greedy fixpoint: keep the first shrink candidate that still fails,
-   restart from it, stop when none of them do. Biased by the candidate
-   order of [Schedule.shrink] towards structurally smaller schedules. In
-   liveness mode, candidates that would break fairness are refused before
-   they run: dropping a lone Heal (keeping its partition) could "shrink"
-   into an unfair schedule that wedges any correct protocol, and a
-   liveness counterexample that is not fair is vacuous. *)
-let shrink_failing (config : config) schedule =
+(* Greedy fixpoint: keep the first admissible shrink candidate that still
+   fails, restart from it, stop when none of them do. Biased by the
+   candidate order of [Schedule.shrink] towards structurally smaller
+   schedules. Inadmissible candidates are refused before they run. *)
+let shrink ~admissible ~failed schedule =
   let shrink_runs = ref 0 in
-  let admissible candidate =
-    (not config.liveness) || Schedule.fair ~horizon:config.horizon candidate
-  in
   let rec fix schedule rounds =
     match
       List.find_opt
@@ -599,7 +631,7 @@ let shrink_failing (config : config) schedule =
           admissible candidate
           && begin
                incr shrink_runs;
-               (run config candidate).failed
+               failed candidate
              end)
         (Schedule.shrink schedule)
     with
@@ -609,59 +641,30 @@ let shrink_failing (config : config) schedule =
   let shrunk, rounds = fix schedule 0 in
   (shrunk, rounds, !shrink_runs)
 
-let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_random_events = 4)
-    ?(recoveries = true) ~seed ~budget config =
-  let rng = Sim.Rng.create seed in
+let search ?(exhaustive = Seq.empty) ~storm ~admissible ~failed ~replay ~budget () =
   let runs = ref 0 in
   let found = ref None in
-  (* Fairness-rejection tally, reason -> count, in first-seen order.
-     Candidates are generated sequentially on this domain (see below), so
-     the tally is byte-identical at any worker count. *)
-  let rejections = ref [] in
-  let note_rejection reason =
-    match List.assoc_opt reason !rejections with
-    | Some n -> rejections := List.map (fun (r, c) -> if r = reason then (r, n + 1) else (r, c)) !rejections
-    | None -> rejections := !rejections @ [ (reason, 1) ]
-  in
-  let try_one phase schedule =
-    incr runs;
-    if (run config schedule).failed then begin
-      found := Some (phase, schedule);
-      raise Exit
-    end
-  in
-  (* The bounded-exhaustive universe is crash-heavy and almost entirely
-     unfair (lone crashes, lone partitions); liveness is a storm mode.
-     Storage mode is a storm mode too: destructive arms only matter
-     paired with a crash, a pattern the combination universe lacks. *)
-  if not (config.liveness || config.storage) then begin
-    try
-      Seq.iter
-        (fun schedule ->
-          if !runs >= budget then raise Exit;
-          try_one Exhaustive schedule)
-        (exhaustive config ~slots ~max_events:max_exhaustive_events ~recoveries)
-    with Exit -> ()
-  end;
+  (try
+     Seq.iter
+       (fun schedule ->
+         if !runs >= budget then raise Exit;
+         incr runs;
+         if failed schedule then begin
+           found := Some (Exhaustive, schedule);
+           raise Exit
+         end)
+       exhaustive
+   with Exit -> ());
   (* Random storms, fanned out over the domain pool. Every storm schedule
-     is generated up front on this domain — the RNG draws happen in index
-     order, so storm [k] is the same schedule a sequential loop would have
-     produced — and the replays are joined by index, with the failure of
-     the lowest index winning. Verdicts, counterexamples and the reported
-     run counts are therefore byte-identical at any worker count. *)
+     is generated up front on this domain — [Array.init] applies [storm]
+     in index order, so storm [k] is the same schedule a sequential loop
+     would have produced — and the replays are joined by index, with the
+     failure of the lowest index winning. Verdicts, counterexamples and
+     the reported run counts are therefore byte-identical at any worker
+     count. *)
   if !found = None && !runs < budget then begin
     let remaining = budget - !runs in
-    let servers = config.params.Workload.Params.servers in
-    let empty = Schedule.make ~servers ~txs:config.txs ~spacing:config.spacing [] in
-    let storms = Array.make remaining empty in
-    (* Explicit ascending fill: the storm stream must consume [rng] in
-       index order (Array.init's evaluation order is unspecified). *)
-    for k = 0 to remaining - 1 do
-      storms.(k) <-
-        (if config.liveness then
-           random_fair_schedule config rng ~max_events:max_random_events ~note:note_rejection
-         else random_schedule config rng ~max_events:max_random_events)
-    done;
+    let storms = Array.init remaining (fun _ -> storm ()) in
     let jobs = Parallel.Domain_pool.default_jobs () in
     let batch = Int.max 1 (jobs * 2) in
     let base = ref 0 in
@@ -670,15 +673,15 @@ let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_rand
       let here = !base in
       let failures =
         Parallel.Domain_pool.map
-          ((fun k -> (run config storms.(here + k)).failed)
+          ((fun k -> failed storms.(here + k))
           [@lint.allow "T-domain-escape"
             "read-only sharing: [storms] is fully written before the fan-out \
              and each worker reads a distinct index"])
           (List.init n Fun.id)
       in
       List.iteri
-        (fun k failed ->
-          if failed && !found = None then begin
+        (fun k hit ->
+          if hit && !found = None then begin
             found := Some (Random_storm, storms.(here + k));
             runs := !runs + k + 1
           end)
@@ -687,16 +690,61 @@ let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_rand
       base := here + n
     done
   end;
+  (* Shrinking stays sequential: each candidate depends on the previous
+     accept. The shrunk schedule is replayed once more for the report. *)
   let counterexample =
-    match !found with
-    | None -> None
-    | Some (found_in, original) ->
-      let shrunk, shrink_rounds, shrink_runs = shrink_failing config original in
-      let outcome = run ~trace:true config shrunk in
-      Some
-        { original; found_in; runs_to_find = !runs; shrunk; shrink_rounds; shrink_runs; outcome }
+    Option.map
+      (fun (found_in, original) ->
+        let shrunk, shrink_rounds, shrink_runs = shrink ~admissible ~failed original in
+        {
+          original;
+          found_in;
+          runs_to_find = !runs;
+          shrunk;
+          shrink_rounds;
+          shrink_runs;
+          outcome = replay shrunk;
+        })
+      !found
   in
-  { config; seed; budget; runs = !runs; rejections = !rejections; counterexample }
+  (!runs, counterexample)
+
+let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_random_events = 4)
+    ?(recoveries = true) ~seed ~budget (config : config) =
+  let rng = Sim.Rng.create seed in
+  (* Fairness-rejection tally, reason -> count, in first-seen order.
+     Candidates are generated sequentially on this domain, so the tally is
+     byte-identical at any worker count. *)
+  let rejections = ref [] in
+  let note_rejection reason =
+    match List.assoc_opt reason !rejections with
+    | Some n -> rejections := List.map (fun (r, c) -> if r = reason then (r, n + 1) else (r, c)) !rejections
+    | None -> rejections := !rejections @ [ (reason, 1) ]
+  in
+  (* The bounded-exhaustive universe is crash-heavy and almost entirely
+     unfair (lone crashes, lone partitions); liveness is a storm mode.
+     Storage mode is a storm mode too: destructive arms only matter
+     paired with a crash, a pattern the combination universe lacks. *)
+  let exhaustive =
+    if config.liveness || config.storage then Seq.empty
+    else exhaustive config ~slots ~max_events:max_exhaustive_events ~recoveries
+  in
+  let storm () =
+    if config.liveness then
+      random_fair_schedule config rng ~max_events:max_random_events ~note:note_rejection
+    else random_schedule config rng ~max_events:max_random_events
+  in
+  (* In liveness mode, shrink candidates that would break fairness are
+     refused: dropping a lone Heal (keeping its partition) could "shrink"
+     into an unfair schedule that wedges any correct protocol, and a
+     liveness counterexample that is not fair is vacuous. *)
+  let runs, counterexample =
+    search ~exhaustive ~storm ~budget
+      ~admissible:(fun c -> (not config.liveness) || Schedule.fair ~horizon:config.horizon c)
+      ~failed:(fun s -> (run config s).failed)
+      ~replay:(run ~trace:true config) ()
+  in
+  { config; seed; budget; runs; rejections = !rejections; counterexample }
 
 (* ---- directed scenario: the minority must stall, not diverge ---- *)
 

@@ -30,7 +30,11 @@
     first failing schedule is shrunk greedily — re-running candidates from
     {!Schedule.shrink} and keeping the first that still fails, to a
     fixpoint — and the shrunk schedule is re-run with tracing on, so the
-    counterexample carries its full {!Sim.Trace}. *)
+    counterexample carries its full {!Sim.Trace}.
+
+    The run machinery — fault interpreter, repair pass, oracle stack,
+    storm search and shrinker — works over an array of replica groups, so
+    [Shard.Shard_check] checks sharded deployments on the same core. *)
 
 type predicate = Any_loss | Violation
 
@@ -122,23 +126,65 @@ type outcome = {
 }
 
 val run : ?trace:bool -> config -> Schedule.t -> outcome
-(** Replay one schedule. Deterministic: same config and schedule, same
-    outcome, byte for byte when traced. When the schedule contains network
-    faults, the network is healed (and any loss window closed) before the
-    at-horizon recovery, so "lost" keeps meaning {e permanently} lost.
-    With [config.nemesis], {!Groupsafe.Convergence.certify} then runs its
-    probe and the verdict is folded into [failed]. *)
+(** Replay one schedule on one replica group: the fixed load, then
+    {!interpret}, the horizon, {!repair}, the quiescence period and
+    {!oracles}. Deterministic: same config and schedule, same outcome, byte
+    for byte when traced. *)
+
+(** {2 The checker core over replica groups}
+
+    A deployment under test is an array of replica groups of [sps] servers
+    each; global server [gi] is server [gi mod sps] of group [gi / sps].
+    {!run} checks one group, [Shard.Shard_check] one group per shard; both
+    drive their groups through the functions below and search with
+    {!search}. *)
+
+val interpret :
+  holds:Sim.Sim_time.span array -> Groupsafe.System.t array -> Schedule.t -> unit
+(** Schedule every event of the schedule on its group's engine, in list
+    order, at its instant (call before running). Server events go to the
+    owning group; [Heal] and loss windows go to every group; a [Partition]
+    is split per group, along that group's own members — a group it names
+    no member of is left alone. [Delay (gi, d)] writes [holds.(gi)], the
+    hold read by server [gi]'s delivery gate. Overlapping loss windows are
+    epoch-guarded per group, slow-disk and disk-full windows per server, so
+    an earlier window's close never cuts a later one short. *)
+
+val repair : Groupsafe.System.t array -> Schedule.t -> unit
+(** The at-horizon repair, so "lost" keeps meaning {e permanently} lost:
+    when the schedule has network faults, heal every group and close its
+    loss window; when it has slow-disk or disk-full windows, close them on
+    every server; then recover every server. Each call writes a trace
+    entry, so fault classes the schedule did not use are left untouched. *)
+
+val oracles :
+  ?trace:bool ->
+  config ->
+  delegate_crashed:(int -> Db.Transaction.id -> bool) ->
+  Groupsafe.System.t array ->
+  Schedule.t ->
+  outcome array
+(** The oracle stack, one outcome per group, run after quiescence: every
+    group's {!Groupsafe.Safety_checker} report and loss predicate (or, with
+    [config.storage], {!Durability} verdict) first, then — with
+    [config.nemesis] — every group's {!Groupsafe.Convergence} probe (group
+    [g]'s probe is transaction [1_000_000 + g]), then — with
+    [config.liveness] — every group's {!Liveness} verdict.
+    [delegate_crashed g tx] tells whether transaction [tx]'s delegate in
+    group [g] crashed during the run. Each outcome records [schedule];
+    with [trace], it also carries its group's rendered trace and protocol
+    highlights. *)
 
 type phase = Exhaustive | Random_storm
 
-type counterexample = {
+type 'o counterexample = {
   original : Schedule.t;
   found_in : phase;
   runs_to_find : int;  (** schedules executed up to and including the failure. *)
   shrunk : Schedule.t;
   shrink_rounds : int;  (** accepted shrink steps. *)
   shrink_runs : int;  (** candidate re-executions during shrinking. *)
-  outcome : outcome;  (** the shrunk schedule's traced outcome. *)
+  outcome : 'o;  (** the shrunk schedule's replayed outcome. *)
 }
 
 type result = {
@@ -151,8 +197,30 @@ type result = {
           candidates rejected for it, in first-seen order. Candidates are
           drawn sequentially up front, so the tally is byte-identical at
           any worker count. Empty outside liveness mode. *)
-  counterexample : counterexample option;
+  counterexample : outcome counterexample option;
+      (** the shrunk schedule's outcome is traced. *)
 }
+
+val search :
+  ?exhaustive:Schedule.t Seq.t ->
+  storm:(unit -> Schedule.t) ->
+  admissible:(Schedule.t -> bool) ->
+  failed:(Schedule.t -> bool) ->
+  replay:(Schedule.t -> 'o) ->
+  budget:int ->
+  unit ->
+  int * 'o counterexample option
+(** The storm search behind {!explore} and [Shard.Shard_check.storm]: run
+    the [exhaustive] schedules (default none) in order, then draw the rest
+    of the [budget] from [storm], stopping at the first schedule that
+    [failed]. Every storm is drawn up front on the calling domain, so the
+    stream of draws is identical to a sequential run; replays fan out over
+    {!Parallel.Domain_pool} in batches, joined by index, and the lowest
+    failing index wins. The failure is shrunk to a greedy fixpoint over
+    {!Schedule.shrink} candidates — inadmissible ones are refused before
+    they run — and the shrunk schedule is [replay]ed. Returns the number of
+    schedules run (shrink re-runs not charged) and the counterexample;
+    byte-identical at any worker count. *)
 
 val exhaustive :
   config ->
@@ -211,19 +279,13 @@ val explore :
   budget:int ->
   config ->
   result
-(** Search up to [budget] schedules (exhaustive pass first, then seeded
-    random storms), stop at the first failure, shrink it, and replay the
-    shrunk schedule with tracing. Deterministic per ([seed], [budget],
-    config). Shrink re-runs are not charged against [budget].
-
-    The random-storm phase fans its replays out over
-    {!Parallel.Domain_pool}: every storm schedule is generated up front on
-    the calling domain (so the stream of RNG draws is identical to a
-    sequential run), replays are joined by storm index, and when several
-    storms in a batch fail the lowest index wins. The result — verdict,
-    counterexample, shrunk schedule and reported run counts — is
-    byte-identical at any worker count; shrinking itself stays sequential
-    because each candidate depends on the previous accept. *)
+(** {!search} up to [budget] schedules of one group — the {!exhaustive}
+    pass first (skipped in liveness and storage mode), then seeded storms
+    ({!random_fair_schedule} in liveness mode, else {!random_schedule}) —
+    stopping at the first failure, shrinking it (fairness-preserving in
+    liveness mode) and replaying the shrunk schedule with tracing.
+    Deterministic per ([seed], [budget], config) and byte-identical at any
+    worker count. *)
 
 (** {2 Directed scenario: a minority partition must stall, not diverge} *)
 

@@ -423,10 +423,17 @@ let render t = Format.asprintf "%a" pp t
 
 (* ---- corpus format ----
 
-   One key or event per line; all times in integer microseconds so files
-   round-trip exactly. Lines starting with '#' are comments — the corpus
-   runner uses them for replay directives (technique, nemesis) that are
-   not part of the schedule value itself. *)
+   One key or event per line; all times in integer microseconds and
+   floats in their shortest exact decimal, so files round-trip exactly.
+   Lines starting with '#' are comments — the corpus runners read replay
+   directives (technique, mutation, expectation) that are not part of the
+   schedule value itself from the `# key=value` ones. *)
+
+(* The shortest decimal that reads back as the same float, so drop
+   probabilities and slow-disk factors round-trip exactly too. *)
+let float_repr f =
+  let s = Printf.sprintf "%.15g" f in
+  if Float.equal (float_of_string s) f then s else Printf.sprintf "%.17g" f
 
 let serialize t =
   let b = Buffer.create 256 in
@@ -447,13 +454,13 @@ let serialize t =
              (List.map (fun g -> String.concat "," (List.map string_of_int g)) groups))
       | Heal -> put "event %d heal" at
       | Drop_window { prob; until } ->
-        put "event %d drop %.6f %d" at prob (Sim.Sim_time.span_to_us until)
+        put "event %d drop %s %d" at (float_repr prob) (Sim.Sim_time.span_to_us until)
       | Duplicate_next i -> put "event %d dup %d" at i
       | Torn_write i -> put "event %d torn %d" at i
       | Fsync_lie i -> put "event %d lie %d" at i
       | Corrupt_record i -> put "event %d corrupt %d" at i
       | Slow_disk { server; factor; until } ->
-        put "event %d slow %d %.6f %d" at server factor (Sim.Sim_time.span_to_us until)
+        put "event %d slow %d %s %d" at server (float_repr factor) (Sim.Sim_time.span_to_us until)
       | Disk_full { server; until } ->
         put "event %d full %d %d" at server (Sim.Sim_time.span_to_us until))
     t.events;
@@ -553,3 +560,19 @@ let parse text =
     | None, _, _ -> Error "missing 'servers' line"
     | _, None, _ -> Error "missing 'txs' line"
     | _, _, None -> Error "missing 'spacing_us' line")
+
+(* Prose comment lines carry no '=', or only inside phrases whose "key"
+   has spaces. *)
+let directives text =
+  List.filter_map
+    (fun line ->
+      let line = String.trim line in
+      if String.length line > 1 && line.[0] = '#' then
+        match String.index_opt line '=' with
+        | Some eq ->
+          let key = String.trim (String.sub line 1 (eq - 1)) in
+          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
+          if key = "" || String.contains key ' ' then None else Some (key, value)
+        | None -> None
+      else None)
+    (String.split_on_char '\n' text)

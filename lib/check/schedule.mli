@@ -99,14 +99,20 @@ val fairness_violation : horizon:Sim.Sim_time.span -> t -> string option
 val fair : horizon:Sim.Sim_time.span -> t -> bool
 
 val serialize : t -> string
-(** Machine-readable one-line-per-fact form (integer microseconds
-    throughout, so values round-trip exactly) for the checked-in
+(** Machine-readable one-line-per-fact form (integer microseconds, and
+    each float as the shortest decimal that reads back as the same float,
+    so values round-trip exactly) for the checked-in
     counterexample corpus. Lines starting with ['#'] are comments;
-    {!parse} skips them, and the corpus runner reads replay directives
-    (technique, nemesis) from them. *)
+    {!parse} skips them, and the corpus runners read replay directives
+    from them ({!directives}). *)
 
 val parse : string -> (t, string) result
 (** Inverse of {!serialize}, canonicalising through {!make}. *)
+
+val directives : string -> (string * string) list
+(** The replay directives of a corpus file: every [# key=value] comment
+    line as [(key, value)], trimmed, in file order. A comment line whose
+    key is empty or contains a space is prose, not a directive. *)
 
 val pp : Format.formatter -> t -> unit
 val render : t -> string

@@ -3,18 +3,6 @@ let after sys span f = ignore (Sim.Engine.schedule (System.engine sys) ~delay:sp
 let crash_at sys ~after:span i = after sys span (fun () -> System.crash sys i)
 let recover_at sys ~after:span i = after sys span (fun () -> System.recover sys i)
 
-let crash_all_at sys ~after:span =
-  after sys span (fun () ->
-      for i = 0 to System.n_servers sys - 1 do
-        System.crash sys i
-      done)
-
-let recover_all_at sys ~after:span =
-  after sys span (fun () ->
-      for i = 0 to System.n_servers sys - 1 do
-        System.recover sys i
-      done)
-
 let crash_storm sys ~rng ~duration ~max_down ~mean_up ~mean_down =
   let deadline = Sim.Sim_time.add (System.now sys) duration in
   let down = ref 0 in

@@ -11,11 +11,6 @@ val after : System.t -> Sim.Sim_time.span -> (unit -> unit) -> unit
 val crash_at : System.t -> after:Sim.Sim_time.span -> int -> unit
 val recover_at : System.t -> after:Sim.Sim_time.span -> int -> unit
 
-val crash_all_at : System.t -> after:Sim.Sim_time.span -> unit
-(** Crash every server at the given instant — the group failure. *)
-
-val recover_all_at : System.t -> after:Sim.Sim_time.span -> unit
-
 val crash_storm :
   System.t ->
   rng:Sim.Rng.t ->

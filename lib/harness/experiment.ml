@@ -1485,6 +1485,30 @@ let explore ?(seed = 42L) ?(budget = 500) () =
     ];
   fig5_found && e2e_ok && twopc_ok && violation_ok
 
+(* ---- Counterexample artifacts ---- *)
+
+(* An artifact is a corpus entry: the technique directive and the shrunk
+   schedule in Check.Schedule.serialize form, then the report and the full
+   trace of the shrunk run as comment lines, which Check.Schedule.parse
+   skips. *)
+let write_counterexample ~path ~what (r : Check.Explorer.result) =
+  match r.Check.Explorer.counterexample with
+  | None -> ()
+  | Some c ->
+    let comment text =
+      String.split_on_char '\n' text
+      |> List.filter (fun line -> line <> "")
+      |> List.map (fun line -> "# " ^ line ^ "\n")
+      |> String.concat ""
+    in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc "# technique=%s\n%s%s#\n# full trace of the shrunk schedule:\n%s"
+          (System.technique_name r.Check.Explorer.config.Check.Explorer.technique)
+          (Check.Schedule.serialize c.Check.Explorer.shrunk)
+          (comment (Check.Explorer.render_result r))
+          (comment c.Check.Explorer.outcome.Check.Explorer.trace));
+    Report.note (Printf.sprintf "%s written to %s" what path)
+
 (* ---- Nemesis: network faults + healing convergence ---- *)
 
 let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-counterexample.txt") ()
@@ -1496,16 +1520,6 @@ let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-count
   Report.note "update on every serving server plus a committing probe (docs/CHECKING.md).";
   let module E = Check.Explorer in
   let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique) (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note (Printf.sprintf "shrunk counterexample trace written to %s" counterexample_path)
-  in
   (* All of [budget] goes to seeded storms (exhaustive single-fault windows
      are covered by the unit tests); identical seeds replay identical
      storms, so a CI failure reproduces locally byte for byte. *)
@@ -1513,7 +1527,7 @@ let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-count
     let cfg = E.default_config ~predicate:E.Any_loss ~nemesis:true ?tuning technique in
     let r = E.explore ~seed ~budget ~max_exhaustive_events:0 ~max_random_events:3 cfg in
     show r;
-    write_counterexample technique r;
+    write_counterexample ~path:counterexample_path ~what:"shrunk counterexample trace" r;
     Option.is_none r.E.counterexample
   in
   let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
@@ -1572,19 +1586,6 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
   Report.note "convergence oracles (docs/CHECKING.md, 'Liveness').";
   let module E = Check.Explorer in
   let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "# technique=%s\n%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique)
-        (Check.Schedule.serialize c.E.shrunk)
-        (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note
-        (Printf.sprintf "shrunk liveness counterexample written to %s" counterexample_path)
-  in
   (* Mutation rediscovery: re-break each of PR 2's protocol bugs through
      the oracle hooks and demand that the fair storms find it again and
      shrink it to a schedule that is still fair — a liveness check that
@@ -1630,7 +1631,7 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
     let cfg = E.default_config ~liveness:true ?max_decision_us ?tuning technique in
     let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
     show r;
-    write_counterexample technique r;
+    write_counterexample ~path:counterexample_path ~what:"shrunk liveness counterexample" r;
     Option.is_none r.E.counterexample
   in
   let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
@@ -1705,19 +1706,6 @@ let storage ?(seed = 42L) ?(budget = 500)
   Report.note "repaired and every corruption detected (docs/CHECKING.md).";
   let module E = Check.Explorer in
   let show r = Format.printf "%s@.@." (E.render_result r) in
-  let write_counterexample technique r =
-    match r.E.counterexample with
-    | None -> ()
-    | Some c ->
-      let oc = open_out counterexample_path in
-      Printf.fprintf oc "# technique=%s\n%s\n%s\n\nfull trace of the shrunk schedule:\n%s\n"
-        (System.technique_name technique)
-        (Check.Schedule.serialize c.E.shrunk)
-        (E.render_result r) c.E.outcome.E.trace;
-      close_out oc;
-      Report.note
-        (Printf.sprintf "shrunk storage counterexample written to %s" counterexample_path)
-  in
   (* The storm certification: the group-safe classical stack must come out
      clean — it may lose, but only where all replicas lost the record —
      and so must the 2-safe and 2PC stacks, whose only permitted losses
@@ -1726,7 +1714,7 @@ let storage ?(seed = 42L) ?(budget = 500)
     let cfg = E.default_config ~storage:true ?tuning technique in
     let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
     show r;
-    write_counterexample technique r;
+    write_counterexample ~path:counterexample_path ~what:"shrunk storage counterexample" r;
     Option.is_none r.E.counterexample
   in
   let gs_ok = certify (System.Dsm Dsm_replica.Group_safe_mode) in

@@ -241,6 +241,14 @@ val explore : ?seed:int64 -> ?budget:int -> unit -> bool
     [seed] (default 42); [budget] (default 500) is the schedule count per
     certification, a quarter of it per violation sweep. *)
 
+val write_counterexample : path:string -> what:string -> Check.Explorer.result -> unit
+(** Write the result's counterexample, if it has one, to [path] as a
+    corpus entry, and note ["<what> written to <path>"]. The file holds a
+    [# technique=] directive ({!Groupsafe.System.technique_name}) and the
+    shrunk schedule in {!Check.Schedule.serialize} form, then the report
+    and the shrunk run's full trace as [# ]-prefixed comment lines. The
+    nemesis, liveness and storage runs write their failures with it. *)
+
 val nemesis :
   ?seed:int64 -> ?budget:int -> ?counterexample_path:string -> unit -> bool
 (** The nemesis acceptance run: [budget] (default 500) seeded storms of
@@ -249,7 +257,7 @@ val nemesis :
     convergent after healing, for the end-to-end (2-safe) and eager-2PC
     configurations; plus the directed minority-stall scenario on
     group-safe ({!Check.Explorer.minority_stall}). On failure the shrunk
-    counterexample and its full trace are written to
+    counterexample is written by {!write_counterexample} to
     [counterexample_path] (default ["nemesis-counterexample.txt"]) for CI
     artifact upload. [true] iff every check passed; deterministic per
     [seed] (default 42). *)
@@ -275,11 +283,10 @@ val liveness :
     certified clean on the end-to-end (2-safe) and eager-2PC
     configurations, and the repeated-leader-kill takeover family
     ({!Check.Explorer.leader_takeover}) runs on both broadcast stacks. On
-    failure the shrunk counterexample (in {!Check.Schedule.serialize}
-    form) and its full trace are written to [counterexample_path] (default
-    ["liveness-counterexample.txt"]) for CI artifact upload. [true] iff
-    every check passed; deterministic per [seed] (default 42) at any
-    worker count. *)
+    failure the shrunk counterexample is written by {!write_counterexample}
+    to [counterexample_path] (default ["liveness-counterexample.txt"]) for
+    CI artifact upload. [true] iff every check passed; deterministic per
+    [seed] (default 42) at any worker count. *)
 
 val storage :
   ?seed:int64 -> ?budget:int -> ?counterexample_path:string -> unit -> bool
@@ -298,11 +305,11 @@ val storage :
     {!Check.Explorer.fsync_lie_group_crash} scenario must demonstrate the
     acked-transaction loss at 1-safe, group-safe and 2-safe with the
     verdict clean (permitted by delegate crash, group failure and total
-    betrayal respectively). On failure the shrunk counterexample (in
-    {!Check.Schedule.serialize} form) and its full trace are written to
-    [counterexample_path] (default ["storage-counterexample.txt"]) for CI
-    artifact upload. [true] iff every check passed; deterministic per
-    [seed] (default 42) at any worker count. *)
+    betrayal respectively). On failure the shrunk counterexample is written
+    by {!write_counterexample} to [counterexample_path] (default
+    ["storage-counterexample.txt"]) for CI artifact upload. [true] iff
+    every check passed; deterministic per [seed] (default 42) at any
+    worker count. *)
 
 val default_shard_counts : int list
 (** The shard-out X axis: 1..32 shards in powers of two. *)

@@ -1,22 +1,7 @@
 open Groupsafe
 module St = Sim.Sim_time
 module Schedule = Check.Schedule
-
-let ms = St.span_ms
-let sec = St.span_s
-let light_fd = { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
-
-(* Same small-system shape as the unsharded explorer, with a key space
-   wide enough that every shard's range holds the whole fixed load. *)
-let default_params =
-  {
-    Workload.Params.table4 with
-    Workload.Params.servers = 3;
-    items = 240;
-    clients_per_server = 1;
-    hot_fraction = 0.;
-    hot_items = 0;
-  }
+module E = Check.Explorer
 
 type config = {
   technique : System.technique;
@@ -32,18 +17,21 @@ type config = {
   link : St.span;
 }
 
+(* The unsharded explorer's small-system shape and timing, with a key
+   space wide enough that every shard's range holds the whole fixed load. *)
 let default_config ?(shards = 2) ?(cross_every = 2) technique =
+  let e = E.default_config technique in
   {
     technique;
     shards;
-    params = default_params;
-    fd = light_fd;
+    params = { e.E.params with Workload.Params.items = 240 };
+    fd = e.E.fd;
     txs = 4;
-    spacing = ms 5.;
+    spacing = e.E.spacing;
     cross_every;
-    horizon = ms 60.;
-    quiescence = sec 4.;
-    system_seed = 7L;
+    horizon = e.E.horizon;
+    quiescence = e.E.quiescence;
+    system_seed = e.E.system_seed;
     link = Sharded_system.default_link;
   }
 
@@ -118,8 +106,7 @@ let run config schedule =
   in
   let t = Sharded_system.create scfg in
   let map = Sharded_system.map t in
-  let sys s = Sharded_system.sys t s in
-  let at_shard s delay f = ignore (Sim.Engine.schedule (Sharded_system.engine_of t s) ~delay f) in
+  let groups = Array.init shards (Sharded_system.sys t) in
   (* The fixed load: write-only transactions, each homed on shard
      [i mod shards] with delegate [i mod sps] there, writing two items of
      its home range; every [cross_every]-th transaction also writes one
@@ -145,106 +132,30 @@ let run config schedule =
       else ops
     in
     let tx = Db.Transaction.make ~id:i ~client:0 ops in
-    at_shard home
-      (St.span_us (St.span_to_us schedule.Schedule.spacing * i))
-      (fun () ->
-        if System.alive (sys home) local then
-          Sharded_system.submit t ~delegate:((home * sps) + local) tx)
+    ignore
+      (Sim.Engine.schedule (Sharded_system.engine_of t home)
+         ~delay:(St.span_us (St.span_to_us schedule.Schedule.spacing * i))
+         (fun () ->
+           if System.alive groups.(home) local then
+             Sharded_system.submit t ~delegate:((home * sps) + local) tx))
   done;
-  (* Schedule the fault events, each decomposed onto the shard(s) it
-     touches; partitions additionally queue cross-shard link commands
-     applied at the window barriers. Overlapping windows get the same
-     epoch guards as the unsharded explorer, per shard / per server. *)
-  let link_cmds = ref [] in
-  let queue_link at cmd = link_cmds := (at, cmd) :: !link_cmds in
-  let drop_epoch = Array.make shards 0 in
-  let slow_epoch = Array.make n 0 in
-  let full_epoch = Array.make n 0 in
-  let window_remaining e until =
-    St.span_us (Int.max 0 (St.span_to_us until - St.span_to_us e.Schedule.at))
-  in
-  let each_shard f =
-    for s = 0 to shards - 1 do
-      f s
-    done
-  in
-  List.iter
-    (fun e ->
-      match e.Schedule.kind with
-      | Schedule.Crash gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.crash (sys s) l)
-      | Schedule.Recover gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.recover (sys s) l)
-      | Schedule.Delay _ -> ()
-      | Schedule.Partition groups ->
-        each_shard (fun s ->
-            let local_groups =
-              List.filter_map
-                (fun g ->
-                  match
-                    List.filter_map
-                      (fun gi -> if gi / sps = s then Some (gi mod sps) else None)
-                      g
-                  with
-                  | [] -> None
-                  | locals -> Some locals)
-                groups
-            in
-            if local_groups <> [] then
-              at_shard s e.Schedule.at (fun () -> System.partition (sys s) local_groups));
-        queue_link e.Schedule.at (Block (blocked_pairs ~shards ~sps groups))
-      | Schedule.Heal ->
-        each_shard (fun s -> at_shard s e.Schedule.at (fun () -> System.heal (sys s)));
-        queue_link e.Schedule.at Unblock_all
-      | Schedule.Drop_window { prob; until } ->
-        each_shard (fun s ->
-            at_shard s e.Schedule.at (fun () ->
-                drop_epoch.(s) <- drop_epoch.(s) + 1;
-                let epoch = drop_epoch.(s) in
-                System.set_drop (sys s) (Some prob);
-                at_shard s (window_remaining e until) (fun () ->
-                    if drop_epoch.(s) = epoch then System.set_drop (sys s) None)))
-      | Schedule.Duplicate_next gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () -> System.duplicate_next (sys s) l)
-      | Schedule.Torn_write gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Torn_write)
-      | Schedule.Fsync_lie gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Fsync_lie)
-      | Schedule.Corrupt_record gi ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            System.inject_storage_fault (sys s) l Db.Db_engine.Corrupt_record)
-      | Schedule.Slow_disk { server = gi; factor; until } ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            slow_epoch.(gi) <- slow_epoch.(gi) + 1;
-            let epoch = slow_epoch.(gi) in
-            System.set_disk_slow (sys s) l factor;
-            at_shard s (window_remaining e until) (fun () ->
-                if slow_epoch.(gi) = epoch then System.set_disk_slow (sys s) l 1.0))
-      | Schedule.Disk_full { server = gi; until } ->
-        let s, l = (gi / sps, gi mod sps) in
-        at_shard s e.Schedule.at (fun () ->
-            full_epoch.(gi) <- full_epoch.(gi) + 1;
-            let epoch = full_epoch.(gi) in
-            System.set_disk_full (sys s) l true;
-            at_shard s (window_remaining e until) (fun () ->
-                if full_epoch.(gi) = epoch then System.set_disk_full (sys s) l false)))
-    schedule.Schedule.events;
-  (* Link commands sorted by time; applied at each barrier once the window
-     reaching their instant closes. *)
+  (* The faults run on the explorer's interpreter (no delivery gates:
+     delay events were refused above). Partitions and heals additionally
+     become cross-shard link commands, applied at the window barriers
+     once the window reaching their instant closes. *)
+  E.interpret ~holds:[||] groups schedule;
   let pending =
     ref
       (List.stable_sort
          (fun (a, _) (b, _) -> Int.compare (St.span_to_us a) (St.span_to_us b))
-         (List.rev !link_cmds))
+         (List.filter_map
+            (fun e ->
+              match e.Schedule.kind with
+              | Schedule.Partition cut ->
+                Some (e.Schedule.at, Block (blocked_pairs ~shards ~sps cut))
+              | Schedule.Heal -> Some (e.Schedule.at, Unblock_all)
+              | _ -> None)
+            schedule.Schedule.events))
   in
   let on_exchange ~window:_ ~until =
     let rec apply () =
@@ -261,51 +172,42 @@ let run config schedule =
     in
     apply ()
   in
-  Sharded_system.run_for ~on_exchange t config.horizon;
+  (* One domain per run: storms fan out across the domain pool instead, so
+     the pool and the windowed runner never nest. *)
+  Sharded_system.run_for ~jobs:1 ~on_exchange t config.horizon;
   (* Repair everything before quiescence, exactly like the unsharded
-     explorer: "lost" must mean permanently lost on a healed, recovered
-     deployment — including the cross-shard links. *)
+     explorer — including the cross-shard links. *)
   Sharded_system.clear_blocked t;
-  each_shard (fun s ->
-      System.heal (sys s);
-      System.set_drop (sys s) None;
-      for l = 0 to sps - 1 do
-        System.set_disk_slow (sys s) l 1.0;
-        System.set_disk_full (sys s) l false;
-        System.recover (sys s) l
-      done);
-  Sharded_system.run_for t config.quiescence;
+  E.repair groups schedule;
+  Sharded_system.run_for ~jobs:1 t config.quiescence;
   (* ---- oracles ---- *)
   (* Sub-transaction delegates reuse their global transaction's local
      index, so one mapping answers for workload ids and sub ids alike. *)
   let delegate_crashed s id =
     let g = if id >= 0 then id else (-id - 1) / 2 in
-    (System.history (sys s) (g mod sps)).Gcs.Process_class.crashes <> []
+    (System.history groups.(s) (g mod sps)).Gcs.Process_class.crashes <> []
   in
-  let reports = Array.init shards (fun s -> Safety_checker.analyse (sys s)) in
-  let durability =
-    Array.init shards (fun s ->
-        Check.Durability.certify ~delegate_crashed:(delegate_crashed s) (sys s) reports.(s))
+  (* Each shard's verdict is the explorer's storage + nemesis stack. Its
+     convergence probes run each shard's engine solo, so no further
+     windowed run may follow. *)
+  let verdicts =
+    E.oracles
+      (E.default_config ~nemesis:true ~storage:true config.technique)
+      ~delegate_crashed groups schedule
   in
-  (* Convergence runs each shard's engine solo (probe + settle), so it
-     comes last: the clocks desynchronise and no further windowed run may
-     follow. *)
-  let converge =
-    Array.init shards (fun s -> Convergence.certify ~probe_tx_id:(1_000_000 + s) (sys s))
-  in
+  let reports = Array.map (fun o -> o.E.report) verdicts in
   let shard_verdicts =
     List.init shards (fun s ->
-        let ok =
-          durability.(s).Check.Durability.clean && converge.(s).Convergence.converged
-        in
+        let o = verdicts.(s) in
         {
           sv_shard = s;
-          sv_report = reports.(s);
+          sv_report = o.E.report;
           sv_losses_allowed =
-            Safety_checker.losses_allowed reports.(s) ~delegate_crashed:(delegate_crashed s);
-          sv_durability = durability.(s);
-          sv_converge = converge.(s);
-          sv_ok = ok;
+            Safety_checker.losses_allowed o.E.report ~delegate_crashed:(delegate_crashed s);
+          (* Storage mode and nemesis mode: both verdicts are present. *)
+          sv_durability = Option.get o.E.durability;
+          sv_converge = Option.get o.E.converge;
+          sv_ok = not o.E.failed;
         })
   in
   (* Cross-shard audit over the global acknowledgement book: a committed
@@ -365,7 +267,7 @@ let run config schedule =
             (fun (p, wid) ->
               let missing = ref false in
               for l = 0 to sps - 1 do
-                if System.serving (sys p) l && not (System.committed_on (sys p) ~server:l wid)
+                if System.serving groups.(p) l && not (System.committed_on groups.(p) ~server:l wid)
                 then missing := true
               done;
               (* A shard that lost the sub-transaction outright is already
@@ -416,11 +318,6 @@ let isolate_shard_events ~sps ~shard ~at ~hold =
     { Schedule.at; kind = Schedule.Partition [ members ] };
     { Schedule.at = St.span_add at hold; kind = Schedule.Heal };
   ]
-
-let crash_shard_events ~sps ~shard ~at ~hold =
-  List.init sps (fun l -> { Schedule.at; kind = Schedule.Crash ((shard * sps) + l) })
-  @ List.init sps (fun l ->
-        { Schedule.at = St.span_add at hold; kind = Schedule.Recover ((shard * sps) + l) })
 
 (* One random sharded storm. Fault families draw from split streams in a
    fixed order (the unsharded explorer's determinism argument): random
@@ -482,15 +379,9 @@ let random_schedule config rng ~max_events =
   in
   Schedule.make ~servers:n ~txs:config.txs ~spacing:config.spacing (crashes @ partition @ loss)
 
-(* ---- storm search with shrinking ---- *)
+(* ---- storm search ---- *)
 
-type counterexample = {
-  original : Schedule.t;
-  shrunk : Schedule.t;
-  shrink_rounds : int;
-  shrink_runs : int;
-  outcome : outcome;
-}
+type counterexample = outcome E.counterexample
 
 type result = {
   config : config;
@@ -500,51 +391,20 @@ type result = {
   counterexample : counterexample option;
 }
 
-(* Greedy shrink to a fixpoint, refusing candidates that change the server
-   count (the shard layout is part of the configuration, not the
-   schedule). *)
-let shrink_failing config schedule =
-  let shrink_runs = ref 0 in
-  let admissible c = c.Schedule.servers = schedule.Schedule.servers in
-  let rec fix s rounds =
-    match
-      List.find_opt
-        (fun c ->
-          admissible c
-          && begin
-               incr shrink_runs;
-               (run config c).failed
-             end)
-        (Schedule.shrink s)
-    with
-    | Some smaller -> fix smaller (rounds + 1)
-    | None -> (s, rounds)
-  in
-  let shrunk, rounds = fix schedule 0 in
-  (shrunk, rounds, !shrink_runs)
-
+(* The explorer's storm search over sharded storms. Shrinking refuses
+   candidates that change the server count: the shard layout is part of
+   the configuration, not the schedule. *)
 let storm ?(max_events = 4) ~seed ~budget config =
   let rng = Sim.Rng.create seed in
-  let rec loop k =
-    if k >= budget then { config; seed; budget; runs = budget; counterexample = None }
-    else begin
-      let schedule = random_schedule config rng ~max_events in
-      let o = run config schedule in
-      if o.failed then begin
-        let shrunk, shrink_rounds, shrink_runs = shrink_failing config schedule in
-        let outcome = run config shrunk in
-        {
-          config;
-          seed;
-          budget;
-          runs = k + 1;
-          counterexample = Some { original = schedule; shrunk; shrink_rounds; shrink_runs; outcome };
-        }
-      end
-      else loop (k + 1)
-    end
+  let servers = config.shards * config.params.Workload.Params.servers in
+  let runs, counterexample =
+    E.search ~budget
+      ~storm:(fun () -> random_schedule config rng ~max_events)
+      ~admissible:(fun c -> c.Schedule.servers = servers)
+      ~failed:(fun s -> (run config s).failed)
+      ~replay:(run config) ()
   in
-  loop 0
+  { config; seed; budget; runs; counterexample }
 
 (* ---- printing ---- *)
 
@@ -578,6 +438,6 @@ let pp_result ppf r =
   | Some c ->
     Format.fprintf ppf
       "COUNTEREXAMPLE after %d runs (shrunk in %d rounds / %d re-runs):@,%a@]" r.runs
-      c.shrink_rounds c.shrink_runs pp_outcome c.outcome)
+      c.E.shrink_rounds c.E.shrink_runs pp_outcome c.E.outcome)
 
 let render_result r = Format.asprintf "%a" pp_result r

@@ -43,7 +43,6 @@ type config = {
   link : Sim.Sim_time.span;
 }
 
-val default_params : Workload.Params.t
 val default_config : ?shards:int -> ?cross_every:int -> Groupsafe.System.technique -> config
 
 type shard_verdict = {
@@ -97,29 +96,10 @@ val isolate_shard_events :
 (** A partition cutting every cross-shard link of one shard's replica
     group (its own network intact), healed after [hold]. *)
 
-val crash_shard_events :
-  sps:int ->
-  shard:int ->
-  at:Sim.Sim_time.span ->
-  hold:Sim.Sim_time.span ->
-  Check.Schedule.event list
-(** Crash a whole shard's replica group at [at]; recover it after
-    [hold]. *)
-
-val random_schedule : config -> Sim.Rng.t -> max_events:int -> Check.Schedule.t
-(** One random sharded storm: crashes/recoveries over the global servers,
-    then one of nothing / a whole-shard isolation / a cut across the
-    groups, and an optional loss window — deterministic per [rng]. *)
-
 (** {1 Storm search} *)
 
-type counterexample = {
-  original : Check.Schedule.t;
-  shrunk : Check.Schedule.t;
-  shrink_rounds : int;
-  shrink_runs : int;
-  outcome : outcome;  (** the outcome of re-running the shrunk schedule. *)
-}
+type counterexample = outcome Check.Explorer.counterexample
+(** Its [outcome] is the shrunk schedule's replayed outcome. *)
 
 type result = {
   config : config;
@@ -129,14 +109,15 @@ type result = {
   counterexample : counterexample option;
 }
 
-val shrink_failing : config -> Check.Schedule.t -> Check.Schedule.t * int * int
-(** Greedily shrink a failing schedule to a fixpoint (server count held
-    constant); returns the shrunk schedule, rounds, and re-runs spent. *)
-
 val storm : ?max_events:int -> seed:int64 -> budget:int -> config -> result
-(** Run up to [budget] random storms, stopping (and shrinking) at the
-    first failure. Each run is internally parallel across shards; the
-    storm loop itself is sequential. *)
+(** Run up to [budget] random sharded storms through
+    {!Check.Explorer.search}, stopping at the first failure and shrinking
+    it at a fixed server count. Storms are drawn up front — crashes and
+    recoveries over the global servers, then one of nothing / a
+    whole-shard isolation / a cut across the groups, and an optional loss
+    window (at most [max_events], default 4, crash events) — and replayed
+    in parallel across storms, each run on one domain; the result is
+    byte-identical at any worker count. *)
 
 (** {1 Printing} *)
 

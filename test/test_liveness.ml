@@ -19,27 +19,10 @@ let check_bool = Alcotest.(check bool)
 let corpus_dir = "liveness_corpus"
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
-(* Replay directives: `# key=value` comment lines (prose comment lines
-   carry no `=`, or only inside phrases whose "key" has spaces). *)
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> System.Dsm Dsm_replica.Group_safe_mode
-  | "two-safe" -> System.Dsm Dsm_replica.Two_safe_mode
-  | "eager-2pc" -> System.Two_pc
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
+let technique_of file name =
+  match List.find_opt (fun t -> System.technique_name t = name) System.all_techniques with
+  | Some t -> t
+  | None -> Alcotest.fail (file ^ ": unknown technique directive " ^ name)
 
 let break_all f sys =
   for i = 0 to System.n_servers sys - 1 do
@@ -56,9 +39,8 @@ let corpus_files () =
   |> List.filter (fun f -> Filename.check_suffix f ".sched")
   |> List.sort compare
 
-let replay_entry file =
-  let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
+let replay_text file text =
+  let dirs = S.directives text in
   let find key = List.assoc_opt key dirs in
   let technique =
     match find "technique" with
@@ -96,7 +78,36 @@ let replay_entry file =
 let test_corpus () =
   let files = corpus_files () in
   check_bool "corpus holds at least three schedules" true (List.length files >= 3);
-  List.iter replay_entry files
+  List.iter (fun file -> replay_text file (read_file (Filename.concat corpus_dir file))) files
+
+(* A failing run's artifact is a corpus entry: written exactly as the
+   liveness acceptance run writes one, from the no-accept-retransmit
+   rediscovery, it must parse back to the shrunk schedule and replay
+   through the corpus reader — clean on the fixed tree, failing again once
+   the mutation is named. *)
+let test_artifact_is_corpus_entry () =
+  let cfg =
+    E.default_config ~liveness:true
+      ~mutate:(break_all System.break_no_accept_retransmit)
+      (System.Dsm Dsm_replica.Two_safe_mode)
+  in
+  let r = E.explore ~seed:42L ~budget:20 ~max_random_events:3 cfg in
+  let c =
+    match r.E.counterexample with
+    | Some c -> c
+    | None -> Alcotest.fail "mutation not rediscovered within 20 fair storms"
+  in
+  let path = Filename.temp_file "liveness-counterexample" ".txt" in
+  Harness.Experiment.write_counterexample ~path ~what:"artifact" r;
+  let text = read_file path in
+  Sys.remove path;
+  (match S.parse text with
+  | Ok s -> check_bool "parses to the shrunk schedule" true (S.equal s c.E.shrunk)
+  | Error e -> Alcotest.fail ("artifact does not parse: " ^ e));
+  Alcotest.(check (option string))
+    "technique directive" (Some "2-safe")
+    (List.assoc_opt "technique" (S.directives text));
+  replay_text "artifact" (text ^ "# mutate=no-accept-retransmit\n")
 
 (* ---- Mutation rediscovery with fairness-preserving shrinking ---- *)
 
@@ -279,7 +290,12 @@ let test_liveness_tuned_engines () =
 let () =
   Alcotest.run "liveness"
     [
-      ("corpus", [ Alcotest.test_case "replay corpus re-certified" `Quick test_corpus ]);
+      ( "corpus",
+        [
+          Alcotest.test_case "replay corpus re-certified" `Quick test_corpus;
+          Alcotest.test_case "counterexample artifact replays as an entry" `Quick
+            test_artifact_is_corpus_entry;
+        ] );
       ( "rediscovery",
         [
           Alcotest.test_case "stuck accept rediscovered, fair shrink" `Slow

@@ -2,12 +2,13 @@
    (pinned boundaries + properties), the Zipf workload generator, the
    generator's sharded id/pick hooks, single-shard byte-for-byte
    reproduction of the unsharded engine, fault-free cross-shard 2PC
-   equivalence with the merged-history oracle, the directed shard-aware
-   nemesis scenarios, the replayed shard corpus, and the sharded obs
-   export. *)
+   equivalence with the merged-history oracle, one-shard checking
+   equivalence with the explorer, the directed shard-aware nemesis
+   scenarios, the replayed shard corpus, and the sharded obs export. *)
 
 open Groupsafe
 module SC = Shard.Shard_check
+module E = Check.Explorer
 module SM = Shard.Shard_map
 module S = Check.Schedule
 
@@ -293,6 +294,41 @@ let test_fault_free_registry_counters () =
   check_bool "probes ran on both shards" true
     (value "shard.0.xshard.probe_subs" >= 2 && value "shard.1.xshard.probe_subs" >= 2)
 
+(* ---- One group: the sharded checker is the explorer's core ---- *)
+
+(* At one shard, Shard_check.run is the explorer's interpreter, repair
+   pass and storage + nemesis oracle stack plus the sharded glue (load,
+   link blocks, cross-shard audit), so over the explorer's own storms it
+   must reach exactly the explorer's verdicts. *)
+let prop_one_group_equivalence =
+  QCheck2.Test.make ~name:"one shard reaches the explorer's verdicts" ~count:40
+    QCheck2.Gen.(pair (int_range 0 3) int64)
+    (fun (tech_i, seed) ->
+      let technique =
+        List.nth [ group_safe; two_safe; System.Two_pc; System.Lazy Lazy_replica.One_safe_mode ]
+          tech_i
+      in
+      let ecfg =
+        { (E.default_config ~nemesis:true ~storage:true technique) with E.delays = false }
+      in
+      let schedule = E.random_schedule ecfg (Sim.Rng.create seed) ~max_events:4 in
+      let scfg =
+        { (SC.default_config ~shards:1 technique) with SC.params = ecfg.E.params; txs = ecfg.E.txs }
+      in
+      let e = E.run ecfg schedule in
+      let s = SC.run scfg schedule in
+      match (s.SC.shard_verdicts, e.E.durability, e.E.converge) with
+      | [ v ], Some d, Some c ->
+        let r = e.E.report and r' = v.SC.sv_report in
+        e.E.failed = s.SC.failed
+        && r.Safety_checker.acked_commits = r'.Safety_checker.acked_commits
+        && r.Safety_checker.lost = r'.Safety_checker.lost
+        && r.Safety_checker.group_failed = r'.Safety_checker.group_failed
+        && d.Check.Durability.clean = v.SC.sv_durability.Check.Durability.clean
+        && d.Check.Durability.lost = v.SC.sv_durability.Check.Durability.lost
+        && c = v.SC.sv_converge
+      | _ -> false)
+
 (* ---- Directed shard-aware scenarios ---- *)
 
 let test_whole_shard_isolation_two_safe () =
@@ -345,29 +381,14 @@ let test_schedule_vocabulary_guards () =
 let corpus_dir = "shard_corpus"
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> group_safe
-  | "two-safe" -> two_safe
-  | "eager-2pc" -> System.Two_pc
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
+let technique_of file name =
+  match List.find_opt (fun t -> System.technique_name t = name) System.all_techniques with
+  | Some t -> t
+  | None -> Alcotest.fail (file ^ ": unknown technique directive " ^ name)
 
 let replay file =
   let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
+  let dirs = S.directives text in
   let find key = List.assoc_opt key dirs in
   let required key =
     match find key with
@@ -478,6 +499,7 @@ let () =
           Alcotest.test_case "registry counts the 2PC protocol" `Quick
             test_fault_free_registry_counters;
         ] );
+      ("one_group", [ QCheck_alcotest.to_alcotest prop_one_group_equivalence ]);
       ( "nemesis",
         [
           Alcotest.test_case "whole-shard isolation, 2-safe clean" `Quick

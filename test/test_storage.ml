@@ -210,26 +210,10 @@ let test_tamper_last () =
 let corpus_dir = "storage_corpus"
 let read_file path = In_channel.with_open_text path In_channel.input_all
 
-let directives text =
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line > 1 && line.[0] = '#' then
-        match String.index_opt line '=' with
-        | Some eq ->
-          let key = String.trim (String.sub line 1 (eq - 1)) in
-          let value = String.trim (String.sub line (eq + 1) (String.length line - eq - 1)) in
-          if key = "" || String.contains key ' ' then None else Some (key, value)
-        | None -> None
-      else None)
-    (String.split_on_char '\n' text)
-
-let technique_of file = function
-  | "group-safe" -> System.Dsm Dsm_replica.Group_safe_mode
-  | "two-safe" -> System.Dsm Dsm_replica.Two_safe_mode
-  | "eager-2pc" -> System.Two_pc
-  | "one-safe" -> System.Lazy Lazy_replica.One_safe_mode
-  | other -> Alcotest.fail (file ^ ": unknown technique directive " ^ other)
+let technique_of file name =
+  match List.find_opt (fun t -> System.technique_name t = name) System.all_techniques with
+  | Some t -> t
+  | None -> Alcotest.fail (file ^ ": unknown technique directive " ^ name)
 
 let break_all f sys =
   for i = 0 to System.n_servers sys - 1 do
@@ -243,7 +227,7 @@ let verdict_of file (o : E.outcome) =
 
 let replay_entry file =
   let text = read_file (Filename.concat corpus_dir file) in
-  let dirs = directives text in
+  let dirs = S.directives text in
   let find key = List.assoc_opt key dirs in
   let technique =
     match find "technique" with

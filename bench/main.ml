@@ -39,14 +39,17 @@ let bench_event_queue =
          Sim.Event_queue.add q ~time:(Sim.Sim_time.of_us (!i land 0xffff)) !i;
          ignore (Sim.Event_queue.pop q)))
 
+(* Delays in microseconds cycling through link, CPU, disk and timer
+   scales, for the two steady-state micros below. *)
+let steady_delays = [| 70; 70; 140; 1_000; 8_000; 100_000; 0 |]
+
 (* The micro above never holds more than one entry, so it never sifts.
    This one keeps 128 events live and advances the clock like the engine
-   (pop the earliest, schedule a successor after a delay cycling through
-   link, CPU, disk and timer scales), so adds and pops sift through a
-   seven-level heap. *)
+   (pop the earliest, schedule a successor after the next delay of
+   [steady_delays]), so adds and pops sift through a seven-level heap. *)
 let bench_event_queue_steady =
   let q = Sim.Event_queue.create () in
-  let delays = [| 70; 70; 140; 1_000; 8_000; 100_000; 0 |] in
+  let delays = steady_delays in
   let i = ref 0 in
   let schedule now =
     incr i;
@@ -60,6 +63,43 @@ let bench_event_queue_steady =
          let now = Sim.Event_queue.next_time_us q in
          ignore (Sim.Event_queue.pop_value q);
          schedule now))
+
+(* The same steady state through the engine: each event schedules its
+   successor with [Engine.schedule] and the next delay of [steady_delays],
+   so the queue's lanes take the repeated delays. One run executes one
+   event. *)
+let bench_engine_steady =
+  let e = Sim.Engine.create () in
+  let i = ref 0 in
+  let rec tick () =
+    incr i;
+    let delay = steady_delays.(!i mod Array.length steady_delays) in
+    ignore (Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick)
+  in
+  for _ = 1 to 128 do
+    tick ()
+  done;
+  Test.make ~name:"sim/engine steady 128 schedule+run"
+    (Staged.stage (fun () -> ignore (Sim.Engine.step e)))
+
+(* The same engine loop with delays that never recur soon: 4 096 distinct
+   values in a shuffled cycle, so no delay is sighted twice in a row and
+   every event pays the missed lane lookup before it takes the heap. *)
+let bench_engine_random =
+  let delays = Array.init 4_096 (fun k -> 1 + (24 * k)) in
+  Sim.Rng.shuffle (Sim.Rng.create 11L) delays;
+  let e = Sim.Engine.create () in
+  let i = ref 0 in
+  let rec tick () =
+    incr i;
+    let delay = delays.(!i land 4_095) in
+    ignore (Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick)
+  in
+  for _ = 1 to 128 do
+    tick ()
+  done;
+  Test.make ~name:"sim/engine random 128 schedule+run"
+    (Staged.stage (fun () -> ignore (Sim.Engine.step e)))
 
 let bench_rng =
   let r = Sim.Rng.create 7L in
@@ -249,6 +289,8 @@ let micro_tests =
     [
       bench_event_queue;
       bench_event_queue_steady;
+      bench_engine_steady;
+      bench_engine_random;
       bench_rng;
       bench_certifier;
       bench_certifier_export;

@@ -39,7 +39,7 @@ let rng e = e.root_rng
 let schedule_at e ~time f =
   if Sim_time.(time < e.clock) then invalid_arg "Engine.schedule_at: time in the past";
   let event = { cancelled = false; action = f } in
-  Event_queue.add e.queue ~time event;
+  Event_queue.add_delayed e.queue ~time ~delay:(Sim_time.diff time e.clock) event;
   event
 
 let schedule e ~delay f = schedule_at e ~time:(Sim_time.add e.clock delay) f

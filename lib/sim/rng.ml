@@ -23,12 +23,15 @@ let unit_float r =
 
 let int r n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
+  (* Rejection sampling to avoid modulo bias: [raw - v] starts the block
+     of [n] values [raw] falls in, and the block is incomplete — its last
+     value would lie past 2^63 - 1 — exactly when adding [n - 1]
+     overflows. *)
   let n64 = Int64.of_int n in
   let rec draw () =
     let raw = Int64.shift_right_logical (int64 r) 1 in
     let v = Int64.rem raw n64 in
-    if Int64.sub (Int64.sub raw v) (Int64.of_int (n - 1)) < 0L then draw ()
+    if Int64.add (Int64.sub raw v) (Int64.of_int (n - 1)) < 0L then draw ()
     else Int64.to_int v
   in
   draw ()

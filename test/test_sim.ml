@@ -62,39 +62,66 @@ let prop_queue_pops_sorted =
       && List.for_all2 Sim_time.equal popped
            (List.sort Sim_time.compare (List.map Sim_time.of_us times)))
 
-(* Model-based fuzz: drive the heap with a random add/pop script and check
+(* Model-based fuzz: drive the queue with a random add/pop script and check
    every observable — pop order and payload pairing, length, next_time_us —
    against a naive sorted-list model after every single operation, along
-   with the structural heap invariant and the slot-table guard
-   ([Event_queue.heap_ok]). [Some t] adds at time [t], [None] pops. Adds
-   outnumber pops three to one over 700+ operations, so every script grows
-   the arrays several times and holds well over 256 live entries; the tiny
-   time bound forces many equal-time ties so the FIFO sequence numbers do
-   real work. *)
+   with the structural invariants of the heap, the slot table and the lanes
+   ([Event_queue.heap_ok]). The script keeps a clock like the engine's (the
+   latest popped time) and every add carries a delay from it: one of twelve
+   repeated values, so more delays recur than there are lanes and lanes
+   change hands; a one-off value; zero; or a stale delay, whose time lies
+   up to 30 us before [clock + delay] and so often before its lane's tail.
+   A growing phase (adds outnumber pops three to one over 700+ operations)
+   grows the arrays several times and holds well over 256 live entries; a
+   draining phase (pops outnumber adds two to one) empties lanes so they
+   are reassigned. Small delays force many equal-time ties so the FIFO
+   sequence numbers do real work. *)
+type queue_op = Add of int * int (* delay, how far the time lies before clock + delay *) | Pop
+
 let prop_queue_matches_naive_model =
+  let pick_delay =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, oneofl [ 0; 1; 2; 3; 4; 5; 6; 8; 10; 13; 16; 20 ]);
+          (1, int_range 1_000 1_000_000);
+          (1, pure 0);
+        ])
+  in
+  let add =
+    QCheck2.Gen.(
+      map2
+        (fun d stale -> Add (d, stale))
+        pick_delay
+        (frequency [ (5, pure 0); (1, int_range 1 30) ]))
+  in
   QCheck2.Test.make ~name:"event queue agrees with a sorted-list model" ~count:100
     QCheck2.Gen.(
-      list_size (int_range 700 1_500)
-        (frequency [ (3, map Option.some (int_bound 40)); (1, pure None) ]))
+      map2 ( @ )
+        (list_size (int_range 700 1_500) (frequency [ (3, add); (1, pure Pop) ]))
+        (list_size (int_range 300 800) (frequency [ (1, add); (2, pure Pop) ])))
     (fun script ->
       let q = Event_queue.create () in
       let model = ref [] in
+      let clock = ref 0 in
       let next_seq = ref 0 in
       let ok = ref true in
       let require b = if not b then ok := false in
       let step op =
         (match op with
-        | Some t ->
+        | Add (d, stale) ->
+          let t = Stdlib.max 0 (!clock + d - stale) in
           let payload = !next_seq in
-          Event_queue.add q ~time:(Sim_time.of_us t) payload;
+          Event_queue.add_delayed q ~time:(Sim_time.of_us t) ~delay:(Sim_time.span_us d) payload;
           (* (time, seq) is a total order — no ties survive the merge. *)
           model := List.merge compare !model [ (t, payload) ];
           incr next_seq
-        | None -> (
+        | Pop -> (
           match (Event_queue.pop q, !model) with
           | None, [] -> ()
           | Some (time, v), (t, payload) :: rest ->
             model := rest;
+            clock := Stdlib.max !clock t;
             require (Sim_time.to_us time = t && v = payload)
           | Some _, [] | None, _ :: _ -> require false));
         require (Event_queue.length q = List.length !model);
@@ -106,9 +133,9 @@ let prop_queue_matches_naive_model =
       List.iter step script;
       (* Drain what the script left behind, then pop once on empty. *)
       while !model <> [] do
-        step None
+        step Pop
       done;
-      step None;
+      step Pop;
       !ok)
 
 (* Popped and cleared events must become unreachable: a binary heap that
@@ -117,15 +144,21 @@ let prop_queue_matches_naive_model =
    payloads capture large state. The helpers are [@inline never] so no
    local in the test frame pins the payload across the GC. *)
 
-let[@inline never] add_tracked q collected =
+let[@inline never] add_tracked ?delay q collected =
   let state = ref 0 in
   Gc.finalise (fun _ -> collected := true) state;
-  Event_queue.add q ~time:(Sim_time.of_us 1) (fun () -> incr state)
+  let time = Sim_time.of_us 1 and f () = incr state in
+  match delay with
+  | None -> Event_queue.add q ~time f
+  | Some delay -> Event_queue.add_delayed q ~time ~delay f
 
 let[@inline never] pop_ignore q = ignore (Event_queue.pop q)
 
 (* The tracked closure pops first while later events stay queued: its slot
-   goes back on the free stack with live slots all around it. *)
+   goes back on the free stack with live slots all around it. In the lane
+   case the closure is its lane's head (the delay's first sighting, at time
+   0, stayed in the heap) and later entries of the same lane stay queued
+   behind it. *)
 let test_queue_pop_releases_payload () =
   let q = Event_queue.create () in
   for i = 2 to 40 do
@@ -136,7 +169,21 @@ let test_queue_pop_releases_payload () =
   pop_ignore q;
   Gc.full_major ();
   check_bool "popped closure collected" true !collected;
-  check_int "later events still queued" 39 (Event_queue.length q)
+  check_int "later events still queued" 39 (Event_queue.length q);
+  let q = Event_queue.create () in
+  let delay = Sim_time.span_us 5 in
+  Event_queue.add_delayed q ~time:Sim_time.zero ~delay ignore;
+  let collected = ref false in
+  add_tracked ~delay q collected;
+  for i = 2 to 40 do
+    Event_queue.add_delayed q ~time:(Sim_time.of_us i) ~delay ignore
+  done;
+  pop_ignore q;
+  pop_ignore q;
+  Gc.full_major ();
+  check_bool "closure popped from a lane collected" true !collected;
+  check_int "later lane entries still queued" 39 (Event_queue.length q);
+  check_bool "lane invariants" true (Event_queue.heap_ok q)
 
 let test_queue_clear_releases_payloads () =
   let q = Event_queue.create () in
@@ -206,6 +253,44 @@ let test_rng_copy_and_split () =
   Alcotest.(check int64) "copy equal" (Rng.int64 a) (Rng.int64 c);
   let s = Rng.split a in
   check_bool "split differs" true (Rng.int64 s <> Rng.int64 a)
+
+(* splitmix64's finaliser is a bijection of 64-bit words, so inverting it
+   yields the seed whose next raw output is any chosen word: xor-shifts are
+   undone by iterating to their fixed point, odd multipliers by their
+   inverse modulo 2^64 (Newton's iteration doubles the correct low bits). *)
+let rng_with_next output =
+  let unxorshift z k =
+    let rec go x =
+      let x' = Int64.logxor z (Int64.shift_right_logical x k) in
+      if Int64.equal x' x then x else go x'
+    in
+    go z
+  in
+  let inverse c =
+    let rec go x n = if n = 0 then x else go (Int64.mul x (Int64.sub 2L (Int64.mul c x))) (n - 1) in
+    go c 6
+  in
+  let z = unxorshift output 31 in
+  let z = unxorshift (Int64.mul z (inverse 0x94D049BB133111EBL)) 27 in
+  let state = unxorshift (Int64.mul z (inverse 0xBF58476D1CE4E5B9L)) 30 in
+  Rng.create (Int64.sub state 0x9E3779B97F4A7C15L)
+
+(* [Rng.int] draws 63 raw bits and rejects a draw in the incomplete last
+   block of [n] values below 2^63, never one in the first block. *)
+let test_rng_int_rejects_only_the_last_block () =
+  let raw r = Int64.shift_right_logical (Rng.int64 r) 1 in
+  let r = rng_with_next 10L in
+  Alcotest.(check int64) "seeded raw draw" 5L (raw (Rng.copy r));
+  let after = Rng.copy r in
+  ignore (Rng.int64 after);
+  check_int "first block accepted" 5 (Rng.int r 1000);
+  Alcotest.(check int64) "one draw consumed" (Rng.int64 after) (Rng.int64 r);
+  let r = rng_with_next (-1L) in
+  let c = Rng.copy r in
+  Alcotest.(check int64) "seeded raw draw" Int64.max_int (raw c);
+  let next = Int64.to_int (Int64.rem (raw c) 1000L) in
+  check_int "last block rejected" next (Rng.int r 1000);
+  Alcotest.(check int64) "two draws consumed" (Rng.int64 c) (Rng.int64 r)
 
 let prop_rng_int_bounds =
   QCheck2.Test.make ~name:"Rng.int stays in bounds" ~count:500
@@ -294,6 +379,146 @@ let test_engine_nested_schedule () =
   Engine.run e;
   Alcotest.(check (list int)) "nested" [ 2; 1 ] !hits;
   check_int "events executed" 2 (Engine.events_executed e)
+
+(* Lanes must not change the engine's order. A random self-rescheduling
+   program runs through [Engine] and through [Ref_engine], a test-local
+   engine over a plain [(time, seq)] binary heap (the key-only heap the
+   queue had before lanes, without the slot table), and the two executed
+   [(time, id)] sequences must be equal. Every event logs itself and
+   schedules up to two children, drawn from an [Rng] seeded by the
+   program's seed and the event's id: a repeated constant delay (ten
+   values, more than the queue has lanes), a random delay, a zero delay,
+   or a [schedule_at] on a whole millisecond, where children of different
+   parents tie at equal instants. The program runs in [run ~until] chunks,
+   then to exhaustion. *)
+module Ref_engine = struct
+  type t = {
+    mutable clock : int;
+    mutable times : int array;
+    mutable seqs : int array;
+    mutable actions : (unit -> unit) array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let create () =
+    { clock = 0; times = [||]; seqs = [||]; actions = [||]; size = 0; next_seq = 0 }
+
+  let before e i j =
+    e.times.(i) < e.times.(j) || (e.times.(i) = e.times.(j) && e.seqs.(i) < e.seqs.(j))
+
+  let swap e i j =
+    let t = e.times.(i) and s = e.seqs.(i) and a = e.actions.(i) in
+    e.times.(i) <- e.times.(j);
+    e.seqs.(i) <- e.seqs.(j);
+    e.actions.(i) <- e.actions.(j);
+    e.times.(j) <- t;
+    e.seqs.(j) <- s;
+    e.actions.(j) <- a
+
+  let schedule_at e time f =
+    assert (time >= e.clock);
+    if e.size = Array.length e.times then begin
+      let grow a fill = Array.append a (Array.make (Stdlib.max 16 (Array.length a)) fill) in
+      e.times <- grow e.times 0;
+      e.seqs <- grow e.seqs 0;
+      e.actions <- grow e.actions ignore
+    end;
+    let i = e.size in
+    e.size <- i + 1;
+    e.times.(i) <- time;
+    e.seqs.(i) <- e.next_seq;
+    e.actions.(i) <- f;
+    e.next_seq <- e.next_seq + 1;
+    let rec up i =
+      let parent = (i - 1) / 2 in
+      if i > 0 && before e i parent then begin
+        swap e i parent;
+        up parent
+      end
+    in
+    up i
+
+  let rec down e i =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < e.size && before e (l + 1) l then l + 1 else l in
+    if l < e.size && before e c i then begin
+      swap e c i;
+      down e c
+    end
+
+  let run ?(until = max_int) e =
+    while e.size > 0 && e.times.(0) <= until do
+      let f = e.actions.(0) in
+      e.clock <- e.times.(0);
+      e.size <- e.size - 1;
+      swap e 0 e.size;
+      e.actions.(e.size) <- ignore;
+      down e 0;
+      f ()
+    done;
+    if until < max_int then e.clock <- Stdlib.max e.clock until
+end
+
+type scheduler = {
+  now : unit -> int;
+  after : int -> (unit -> unit) -> unit;
+  at : int -> (unit -> unit) -> unit;
+  run_until : int option -> unit;
+}
+
+let run_program (seed, roots, chunks) sched =
+  let constants = [| 70; 400; 100; 10_000; 50_000; 100_000; 0; 140; 1_000; 8_000 |] in
+  let log = ref [] and next_id = ref 0 in
+  let rec spawn schedule =
+    let id = !next_id in
+    incr next_id;
+    schedule (fun () -> fire id)
+  and fire id =
+    log := (sched.now (), id) :: !log;
+    let r = Rng.create (Int64.of_int ((seed * 1_000_003) + id)) in
+    let children = 1 + Bool.to_int (Rng.bool r 0.3) - Bool.to_int (Rng.bool r 0.25) in
+    for _ = 1 to if !next_id < 1_500 then children else 0 do
+      match Rng.int r 10 with
+      | 0 | 1 | 2 | 3 | 4 -> spawn (sched.after (Rng.pick r constants))
+      | 5 | 6 -> spawn (sched.after (Rng.int r 20_000))
+      | 7 -> spawn (sched.after 0)
+      | _ -> spawn (sched.at ((((sched.now () / 1_000) + Rng.int r 5) * 1_000) + 1_000))
+    done
+  in
+  for i = 1 to roots do
+    spawn (sched.after (i mod 3 * 70))
+  done;
+  List.iter (fun chunk -> sched.run_until (Some (sched.now () + chunk))) chunks;
+  sched.run_until None;
+  List.rev !log
+
+let prop_engine_order_matches_reference_heap =
+  QCheck2.Test.make ~name:"engine order equals a plain heap's" ~count:100
+    QCheck2.Gen.(
+      triple nat (int_range 1 20) (list_size (int_range 0 12) (int_range 0 200_000)))
+    (fun program ->
+      let e = Engine.create () in
+      let engine =
+        {
+          now = (fun () -> Sim_time.to_us (Engine.now e));
+          after = (fun d f -> ignore (Engine.schedule e ~delay:(Sim_time.span_us d) f));
+          at = (fun t f -> ignore (Engine.schedule_at e ~time:(Sim_time.of_us t) f));
+          run_until =
+            (fun until -> Engine.run ?until:(Option.map Sim_time.of_us until) e);
+        }
+      in
+      let r = Ref_engine.create () in
+      let reference =
+        {
+          now = (fun () -> r.Ref_engine.clock);
+          after = (fun d f -> Ref_engine.schedule_at r (r.Ref_engine.clock + d) f);
+          at = (fun t f -> Ref_engine.schedule_at r t f);
+          run_until = (fun until -> Ref_engine.run ?until r);
+        }
+      in
+      let executed = run_program program engine in
+      executed = run_program program reference && List.length executed > 0)
 
 (* ---- Process ---- *)
 
@@ -543,14 +768,15 @@ let () =
         :: Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean
         :: Alcotest.test_case "bernoulli ratio" `Quick test_rng_bool_probability
         :: Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes
+        :: Alcotest.test_case "int rejects only the last block" `Quick
+             test_rng_int_rejects_only_the_last_block
         :: qsuite [ prop_rng_int_bounds; prop_rng_uniform_int_bounds ] );
       ( "engine",
-        [
-          Alcotest.test_case "order and clock" `Quick test_engine_order_and_clock;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
-          Alcotest.test_case "run until" `Quick test_engine_until;
-          Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule;
-        ] );
+        Alcotest.test_case "order and clock" `Quick test_engine_order_and_clock
+        :: Alcotest.test_case "cancel" `Quick test_engine_cancel
+        :: Alcotest.test_case "run until" `Quick test_engine_until
+        :: Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule
+        :: qsuite [ prop_engine_order_matches_reference_heap ] );
       ( "process",
         [
           Alcotest.test_case "guard blocks after kill" `Quick test_process_guard_blocks_after_kill;

@@ -132,6 +132,18 @@ let bench_certifier_export =
   Test.make ~name:"db/certifier export 10k"
     (Staged.stage (fun () -> ignore (Db.Certifier.export c)))
 
+(* State transfer's testable-transaction cost: a snapshot freezes the
+   replica's whole view. 10 000 decided transactions, one in eight
+   aborted. *)
+let bench_testable_freeze =
+  let t = Db.Testable_tx.create () in
+  for id = 0 to 9_999 do
+    Db.Testable_tx.record t id
+      (if id land 7 = 0 then Db.Testable_tx.Aborted else Db.Testable_tx.Committed)
+  done;
+  Test.make ~name:"db/testable_tx freeze 10k"
+    (Staged.stage (fun () -> ignore (Db.Testable_tx.freeze t)))
+
 (* The WAL hardening cost: one framed encode (checksum included) and one
    decode+verify of a typical two-write commit record. The budget is <=10%
    on the append path; this pins the absolute per-record cost of the framed
@@ -294,6 +306,7 @@ let micro_tests =
       bench_rng;
       bench_certifier;
       bench_certifier_export;
+      bench_testable_freeze;
       bench_wal_codec;
       bench_lock_table;
       bench_obs_histogram;

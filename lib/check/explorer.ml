@@ -107,6 +107,9 @@ let interpret ~holds groups schedule =
      cutting a later one short. Loss windows are guarded per group,
      slow-disk and disk-full windows per server. *)
   let drop_epoch = Array.make (Array.length groups) 0 in
+  (* Which groups hold a cut at this point of the list: a later
+     [Partition] replaces the cut, also on a group it names no member of. *)
+  let cut_groups = Array.make (Array.length groups) false in
   let slow_epoch = Array.make (Array.length groups * sps) 0 in
   let full_epoch = Array.make (Array.length groups * sps) 0 in
   List.iter
@@ -129,8 +132,10 @@ let interpret ~holds groups schedule =
       | Schedule.Recover gi -> on_server gi System.recover
       | Schedule.Delay (gi, d) -> on_server gi (fun _ _ -> holds.(gi) <- d)
       | Schedule.Partition cut ->
-        (* Each group is cut along its own members; a group the partition
-           names no member of is left alone. *)
+        (* Each group is cut along its own members. A group the partition
+           names no member of loses any earlier cut: it gets the empty
+           partition, which leaves blocked links alone, as a replacing
+           cut does. *)
         Array.iteri
           (fun g sys ->
             let local members =
@@ -139,10 +144,18 @@ let interpret ~holds groups schedule =
               | own -> Some (List.map (fun gi -> gi mod sps) own)
             in
             match List.filter_map local cut with
-            | [] -> ()
-            | local_cut -> at g e.Schedule.at (fun () -> System.partition sys local_cut))
+            | [] ->
+              if cut_groups.(g) then begin
+                cut_groups.(g) <- false;
+                at g e.Schedule.at (fun () -> System.partition sys [])
+              end
+            | local_cut ->
+              cut_groups.(g) <- true;
+              at g e.Schedule.at (fun () -> System.partition sys local_cut))
           groups
-      | Schedule.Heal -> on_groups (fun _ sys -> System.heal sys)
+      | Schedule.Heal ->
+        Array.fill cut_groups 0 (Array.length groups) false;
+        on_groups (fun _ sys -> System.heal sys)
       | Schedule.Drop_window { prob; until } ->
         on_groups (fun g sys ->
             window drop_epoch g g until

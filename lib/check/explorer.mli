@@ -144,8 +144,10 @@ val interpret :
 (** Schedule every event of the schedule on its group's engine, in list
     order, at its instant (call before running). Server events go to the
     owning group; [Heal] and loss windows go to every group; a [Partition]
-    is split per group, along that group's own members — a group it names
-    no member of is left alone. [Delay (gi, d)] writes [holds.(gi)], the
+    is split per group, along that group's own members, and replaces the
+    group's cut — a group it names no member of gets the empty partition
+    if an earlier [Partition] cut it since the last [Heal] (blocked links
+    stay, as with any replacing cut). [Delay (gi, d)] writes [holds.(gi)], the
     hold read by server [gi]'s delivery gate. Overlapping loss windows are
     epoch-guarded per group, slow-disk and disk-full windows per server, so
     an earlier window's close never cuts a later one short. *)

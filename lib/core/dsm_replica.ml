@@ -29,9 +29,8 @@ end
 module Snapshot = struct
   type t = {
     values : int array;
-    view : (Db.Transaction.id * Db.Testable_tx.outcome) list;
-    cert_version : int;
-    cert_bindings : (int * int) list;
+    view : Db.Testable_tx.frozen;
+    cert : Db.Certifier.frozen;
     pending : cert_ws list;
         (** writesets the donor had delivered but not yet processed — the
             joiner must process them itself, or a transaction that was only
@@ -378,7 +377,7 @@ let rebuild_from_local_log t ~with_cert =
   let report = Db.Db_engine.recover_now db in
   if report.Db.Db_engine.repairs <> [] then
     tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.replace t.view (Db.Testable_tx.to_list (Db.Db_engine.testable db));
+  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable db));
   Db.Certifier.reset t.cert;
   if with_cert then
     List.iter
@@ -404,19 +403,17 @@ let get_snapshot t () =
     | Some p when not_done p.cws -> p.cws :: queued
     | Some _ | None -> queued
   in
-  let cert_version, cert_bindings = Db.Certifier.export t.cert in
   {
     Snapshot.values = Db.Db_engine.values_snapshot t.server.Server.db;
-    view = Db.Testable_tx.to_list t.view;
-    cert_version;
-    cert_bindings;
+    view = Db.Testable_tx.freeze t.view;
+    cert = Db.Certifier.freeze t.cert;
     pending = unprocessed;
   }
 
 let install_snapshot t (s : Snapshot.t) =
   Db.Db_engine.install_snapshot t.server.Server.db s.Snapshot.values;
-  Db.Testable_tx.replace t.view s.Snapshot.view;
-  Db.Certifier.import t.cert ~version:s.Snapshot.cert_version ~bindings:s.Snapshot.cert_bindings;
+  Db.Testable_tx.thaw t.view s.Snapshot.view;
+  Db.Certifier.thaw t.cert s.Snapshot.cert;
   List.iter (fun cws -> Queue.push { cws; token = None; enq_at = now t } t.pipe) s.Snapshot.pending;
   tr t "state_transfer" [];
   t.ready <- true;

@@ -206,7 +206,7 @@ let recover t =
   let report = Db.Db_engine.recover_now t.server.Server.db in
   if report.Db.Db_engine.repairs <> [] then
     tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.replace t.view (Db.Testable_tx.to_list (Db.Db_engine.testable t.server.Server.db));
+  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable t.server.Server.db));
   tr t "recovered_local" [];
   t.ready <- true
 

@@ -336,7 +336,7 @@ let rec recover t =
   let report = Db.Db_engine.recover_now (db t) in
   if report.Db.Db_engine.repairs <> [] then
     tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.replace t.view (Db.Testable_tx.to_list (Db.Db_engine.testable (db t)));
+  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable (db t)));
   Hashtbl.reset t.prepared;
   (* Re-discover in-doubt transactions: durably prepared, no decision on
      disk. Transactions this server itself coordinated are resolved by

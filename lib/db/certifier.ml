@@ -86,14 +86,16 @@ let export c =
   done;
   (c.version, !bindings)
 
-let import c ~version ~bindings =
-  reset c;
-  c.version <- version;
-  List.iter
-    (fun (item, v) ->
-      if v < 1 then invalid_arg "Certifier.import: versions start at 1";
-      record c item v)
-    bindings
+type frozen = { f_version : int; f_base : int; f_window : int array }
+
+let freeze c = { f_version = c.version; f_base = c.base; f_window = Array.copy c.last_written }
+
+let thaw c f =
+  c.version <- f.f_version;
+  c.base <- f.f_base;
+  c.last_written <- Array.copy f.f_window;
+  c.commits <- 0;
+  c.aborts <- 0
 
 let note_commit c ~write_items =
   c.version <- c.version + 1;

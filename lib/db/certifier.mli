@@ -43,13 +43,20 @@ val reset : t -> unit
     is rebuilt from the log / state transfer). *)
 
 val export : t -> int * (int * int) list
-(** [(version, bindings)] — the full certification state, for state
-    transfer. Bindings are (item, last-writing version) pairs, one per
-    item ever written, in descending item order. *)
+(** [(version, bindings)] — the full certification state as a list.
+    Bindings are (item, last-writing version) pairs, one per item ever
+    written, in descending item order. *)
 
-val import : t -> version:int -> bindings:(int * int) list -> unit
-(** Replaces the state with an exported one. Resets statistics.
-    @raise Invalid_argument on a binding with a version below 1. *)
+type frozen
+(** An immutable copy of a certifier's state (state transfer). *)
+
+val freeze : t -> frozen
+(** [freeze c] copies [c]'s version and window; later changes to [c] do
+    not reach the copy. *)
+
+val thaw : t -> frozen -> unit
+(** [thaw c f] replaces [c]'s state with a copy of [f]'s, so [f] can be
+    thawed again with the same result. Resets statistics. *)
 
 val note_commit : t -> write_items:int list -> unit
 (** Advances the state by one committed writeset without running the test —

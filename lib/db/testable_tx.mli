@@ -3,7 +3,10 @@
     The local database can be asked whether a given transaction was already
     processed and with which outcome, so a replayed message never commits a
     transaction twice. The table is rebuilt from the write-ahead log during
-    recovery, which is what makes the answer trustworthy after a crash. *)
+    recovery, which is what makes the answer trustworthy after a crash.
+
+    Outcomes are stored one byte per id in fixed pages of consecutive ids,
+    so a state-transfer snapshot ({!freeze}) is a copy of a few pages. *)
 
 type outcome = Committed | Aborted
 
@@ -25,10 +28,15 @@ val count : t -> int
 val reset : t -> unit
 (** Forgets everything (crash); the owner re-populates it from the log. *)
 
-val to_list : t -> (Transaction.id * outcome) list
-(** All recorded outcomes, in unspecified order (state transfer). *)
-
-val replace : t -> (Transaction.id * outcome) list -> unit
-(** Replaces the contents with an exported list. *)
-
 val committed_count : t -> int
+
+type frozen
+(** An immutable copy of a table's contents (state transfer). *)
+
+val freeze : t -> frozen
+(** [freeze t] copies [t]'s contents; later changes to [t] do not reach
+    the copy. *)
+
+val thaw : t -> frozen -> unit
+(** [thaw t f] replaces [t]'s contents with a copy of [f]'s, so [f] can be
+    thawed again, into [t] or elsewhere, with the same result. *)

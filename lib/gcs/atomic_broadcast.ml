@@ -4,28 +4,6 @@ module Make
        type t
      end) =
 struct
-  (* Unique message ids: (origin node index, origin-local sequence). The
-     sequence restarts at 0 in each incarnation; the incarnation number is
-     mixed in so retransmissions from a reborn node never collide. *)
-  module Uid = struct
-    type t = { origin : int; incarnation : int; seq : int }
-
-    let equal a b = a.origin = b.origin && a.incarnation = b.incarnation && a.seq = b.seq
-    let hash = Hashtbl.hash
-
-    (* Total order for deterministic table enumeration: all fields are
-       plain ints, so lexicographic (origin, incarnation, seq). *)
-    let compare a b =
-      match Int.compare a.origin b.origin with
-      | 0 -> (
-        match Int.compare a.incarnation b.incarnation with
-        | 0 -> Int.compare a.seq b.seq
-        | c -> c)
-      | c -> c
-
-    let pp ppf u = Format.fprintf ppf "%d.%d.%d" u.origin u.incarnation u.seq
-  end
-
   module LV = struct
     (* Application messages and membership events share the total order:
        every member sees a view change at the same position relative to
@@ -54,7 +32,7 @@ struct
     | Join_state of {
         snapshot : S.t;
         slot : int;
-        uids : Uid.t list;
+        uids : Uid_set.run list;
         view_id : int;
         view_members : int list;
       }
@@ -69,7 +47,7 @@ struct
     get_snapshot : unit -> S.t;
     install_snapshot : S.t -> unit;
     cold_start : unit -> unit;
-    delivered_uids : unit Uid_tbl.t;  (* volatile: wiped by a crash *)
+    delivered_uids : Uid_set.t;  (* volatile: wiped by a crash *)
     unstable : LV.t Uid_tbl.t;  (* broadcast but not yet seen ordered *)
     mutable next_seq : int;
     mutable delivered : int;
@@ -126,8 +104,7 @@ struct
      never claims deliveries the application has not seen (donors also
      flush the gate before answering a join). *)
   let deliver_entry t { LV.uid; content } =
-    if not (Uid_tbl.mem t.delivered_uids uid) then begin
-      Uid_tbl.replace t.delivered_uids uid ();
+    if Uid_set.add t.delivered_uids uid then begin
       if not t.recovering then begin
         match content with
         | LV.App value ->
@@ -239,16 +216,12 @@ struct
          (* Release anything still held in the delay gate: the snapshot and
             its delivery position must reflect every decided entry. *)
          Delivery_delay.flush t.delivery_delay;
-         (* Sorted so the Join_state payload — and hence the joiner's replayed
-            state and every downstream trace — is a function of the table's
-            contents, not its insertion history. *)
-         let uids = Det_uid_tbl.sorted_keys ~cmp:Uid.compare t.delivered_uids in
          Net.Endpoint.send t.ep ~dst:src
            (Join_state
               {
                 snapshot = t.get_snapshot ();
                 slot = Log.decided_prefix t.log;
-                uids;
+                uids = Uid_set.export t.delivered_uids;
                 view_id = t.view.View.id;
                 view_members = List.map Net.Node_id.index t.view.View.members;
               })
@@ -257,7 +230,7 @@ struct
     | Join_state { snapshot; slot; uids; view_id; view_members } ->
       if t.recovering then begin
         t.install_snapshot snapshot;
-        List.iter (fun uid -> Uid_tbl.replace t.delivered_uids uid ()) uids;
+        Uid_set.import t.delivered_uids uids;
         t.view <- { View.id = view_id; members = List.map (node_of_index t) view_members };
         finish_join t ~cold:false ~slot
       end;
@@ -310,7 +283,7 @@ struct
         get_snapshot;
         install_snapshot;
         cold_start;
-        delivered_uids = Uid_tbl.create 256;
+        delivered_uids = Uid_set.create ();
         unstable = Uid_tbl.create 16;
         next_seq = 0;
         delivered = 0;
@@ -349,7 +322,7 @@ struct
     Net.Endpoint.add_handler ep (handle_message t);
     let process = Net.Endpoint.process ep in
     Sim.Process.on_kill process (fun () ->
-        Uid_tbl.reset t.delivered_uids;
+        Uid_set.reset t.delivered_uids;
         Uid_tbl.reset t.unstable;
         t.join_replies <- Net.Node_id.Set.empty;
         t.cold_start_pending <- false);

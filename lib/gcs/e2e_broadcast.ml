@@ -1,23 +1,4 @@
 module Make (V : Replicated_log.VALUE) = struct
-  module Uid = struct
-    type t = { origin : int; incarnation : int; seq : int }
-
-    let equal a b = a.origin = b.origin && a.incarnation = b.incarnation && a.seq = b.seq
-    let hash = Hashtbl.hash
-
-    (* Total order for deterministic table enumeration: all fields are
-       plain ints, so lexicographic (origin, incarnation, seq). *)
-    let compare a b =
-      match Int.compare a.origin b.origin with
-      | 0 -> (
-        match Int.compare a.incarnation b.incarnation with
-        | 0 -> Int.compare a.seq b.seq
-        | c -> c)
-      | c -> c
-
-    let pp ppf u = Format.fprintf ppf "%d.%d.%d" u.origin u.incarnation u.seq
-  end
-
   module LV = struct
     type t = { uid : Uid.t; value : V.t }
 
@@ -37,7 +18,7 @@ module Make (V : Replicated_log.VALUE) = struct
     cursor : int Store.Durable_cell.t;
     deliver : token -> V.t -> unit;
     (* Volatile; rebuilt during replay after each restart. *)
-    seen_uids : unit Uid_tbl.t;
+    seen_uids : Uid_set.t;
     unstable : LV.t Uid_tbl.t;
     (* Deliveries made minus acks received, per slot: a batched slot is
        acknowledged (and the durable cursor advanced past it) only once the
@@ -62,8 +43,7 @@ module Make (V : Replicated_log.VALUE) = struct
      gate at a crash is dropped with the gate's queue and replayed by the
      durable log later — at which point it is not yet in [seen_uids]. *)
   let deliver_decided t ~slot { LV.uid; value } =
-    let duplicate = Uid_tbl.mem t.seen_uids uid in
-    Uid_tbl.replace t.seen_uids uid ();
+    let duplicate = not (Uid_set.add t.seen_uids uid) in
     (* Slots below the durable cursor were successfully delivered before
        a crash: recorded for deduplication but not redelivered. *)
     if (not duplicate) && slot >= Store.Durable_cell.read t.cursor then begin
@@ -135,7 +115,7 @@ module Make (V : Replicated_log.VALUE) = struct
         log;
         cursor;
         deliver;
-        seen_uids = Uid_tbl.create 256;
+        seen_uids = Uid_set.create ();
         unstable = Uid_tbl.create 16;
         outstanding = Hashtbl.create 16;
         next_seq = 0;
@@ -166,7 +146,7 @@ module Make (V : Replicated_log.VALUE) = struct
     let process = Net.Endpoint.process ep in
     Sim.Process.on_kill process (fun () ->
         Store.Durable_cell.crash cursor;
-        Uid_tbl.reset t.seen_uids;
+        Uid_set.reset t.seen_uids;
         Uid_tbl.reset t.unstable;
         Hashtbl.reset t.outstanding);
     Sim.Process.on_restart process (fun () ->

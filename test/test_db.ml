@@ -303,7 +303,7 @@ type cert_op =
   | Cert_note_commit of int list
   | Cert_reset
   | Cert_last_writer of int
-  | Cert_transfer  (** export, then import into a fresh certifier *)
+  | Cert_transfer  (** freeze, then thaw into a fresh certifier *)
 
 let prop_certifier_matches_hashtbl_model =
   (* Items come from two far-apart clusters and the first write lands in
@@ -329,6 +329,7 @@ let prop_certifier_matches_hashtbl_model =
         Db.Certifier.current_version !c = !m.Hashtbl_certifier.version
         && Db.Certifier.commits !c = !m.Hashtbl_certifier.commits
         && Db.Certifier.aborts !c = !m.Hashtbl_certifier.aborts
+        && Db.Certifier.export !c = Hashtbl_certifier.export !m
       in
       let step = function
         | Cert_certify (lag, reads, writes) ->
@@ -355,18 +356,15 @@ let prop_certifier_matches_hashtbl_model =
           Option.equal Int.equal (Db.Certifier.last_writer !c i)
             (Hashtbl.find_opt !m.Hashtbl_certifier.last_written i)
         | Cert_transfer ->
-          let version, bindings = Db.Certifier.export !c in
+          let frozen = Db.Certifier.freeze !c in
           let m_version, m_bindings = Hashtbl_certifier.export !m in
           c := Db.Certifier.create ();
-          Db.Certifier.import !c ~version ~bindings;
+          Db.Certifier.thaw !c frozen;
           m := Hashtbl_certifier.create ();
           Hashtbl_certifier.import !m ~version:m_version ~bindings:m_bindings;
-          version = m_version && bindings = m_bindings
+          true
       in
-      List.for_all
-        (fun op -> step op && same_state ())
-        (Cert_note_commit [ first ] :: ops)
-      && Db.Certifier.export !c = Hashtbl_certifier.export !m)
+      List.for_all (fun op -> step op && same_state ()) (Cert_note_commit [ first ] :: ops))
 
 let test_certifier_rejects_negative_items () =
   let c = Db.Certifier.create () in
@@ -379,11 +377,7 @@ let test_certifier_rejects_negative_items () =
   raises "certify read" (fun () -> certify ~reads:[ -3 ] ~writes:[]);
   raises "check_only" (fun () -> Db.Certifier.check_only c ~start:0 ~read_items:[ -2 ]);
   raises "note_commit" (fun () -> Db.Certifier.note_commit c ~write_items:[ 4; -5 ]);
-  raises "last_writer" (fun () -> Db.Certifier.last_writer c (-1));
-  raises "import" (fun () -> Db.Certifier.import c ~version:1 ~bindings:[ (-7, 1) ]);
-  Alcotest.check_raises "import version 0"
-    (Invalid_argument "Certifier.import: versions start at 1") (fun () ->
-      Db.Certifier.import c ~version:1 ~bindings:[ (7, 0) ])
+  raises "last_writer" (fun () -> Db.Certifier.last_writer c (-1))
 
 let prop_lock_table_exclusion =
   (* Random acquire/release schedules: at no point may an exclusive holder
@@ -441,6 +435,152 @@ let test_testable_dedup () =
   Alcotest.check_raises "conflicting outcome"
     (Invalid_argument "Testable_tx.record: conflicting outcome for T1") (fun () ->
       Db.Testable_tx.record t 1 Db.Testable_tx.Aborted)
+
+(* The table before it became byte pages: a polymorphic [Hashtbl] from id
+   to outcome, raising on a conflicting outcome. The reference the pages
+   must match answer for answer. *)
+module Hashtbl_testable = struct
+  let record t id outcome =
+    match Hashtbl.find_opt t id with
+    | None -> Hashtbl.replace t id outcome
+    | Some prior ->
+      if not (Db.Testable_tx.outcome_equal prior outcome) then
+        invalid_arg (Printf.sprintf "Testable_tx.record: conflicting outcome for T%d" id)
+
+  let committed_count t =
+    Hashtbl.fold
+      (fun _ outcome n -> match outcome with Db.Testable_tx.Committed -> n + 1 | Aborted -> n)
+      t 0
+end
+
+type testable_op =
+  | Tt_record of int * Db.Testable_tx.outcome
+  | Tt_find of int
+  | Tt_reset
+  | Tt_thaw_fresh  (** freeze, then thaw into a new table *)
+  | Tt_thaw_onto of (int * Db.Testable_tx.outcome) list
+      (** freeze, then thaw into a new table already holding these *)
+
+let prop_testable_matches_hashtbl_model =
+  (* Ids from every range the system uses: the workload's dense block
+     (across the 4096-id page boundary), sharded sub-transactions below 0
+     (across a negative boundary), convergence probes [1_000_000 + g] and
+     leader-kill probes [1_000_000_000 + k]. Narrow ranges make repeats,
+     and so conflicts, common. *)
+  let id =
+    QCheck2.Gen.(
+      oneof
+        [
+          int_range 0 40;
+          int_range 4_090 4_100;
+          int_range 0 12_000;
+          int_range (-40) (-1);
+          int_range (-4_100) (-4_090);
+          map (fun g -> 1_000_000 + g) (int_range 0 3);
+          map (fun k -> 1_000_000_000 + k) (int_range 0 40);
+        ])
+  in
+  let outcome = QCheck2.Gen.(map (fun c -> if c then Db.Testable_tx.Committed else Aborted) bool) in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, map2 (fun i o -> Tt_record (i, o)) id outcome);
+          (4, map (fun i -> Tt_find i) id);
+          (1, pure Tt_reset);
+          (1, pure Tt_thaw_fresh);
+          (1, map (fun l -> Tt_thaw_onto l) (list_size (int_range 1 5) (pair id outcome)));
+        ])
+  in
+  QCheck2.Test.make ~name:"testable pages match the hashtable table" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+      let t = ref (Db.Testable_tx.create ()) and m = ref (Hashtbl.create 16) in
+      let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+      let agree id =
+        Option.equal Db.Testable_tx.outcome_equal (Db.Testable_tx.find !t id)
+          (Hashtbl.find_opt !m id)
+        && Db.Testable_tx.already_processed !t id = Hashtbl.mem !m id
+      in
+      (* A thaw replaces the target's contents: the model is unchanged. *)
+      let thaw_into target =
+        Db.Testable_tx.thaw target (Db.Testable_tx.freeze !t);
+        t := target
+      in
+      let step = function
+        | Tt_record (id, o) ->
+          let raised = raises (fun () -> Db.Testable_tx.record !t id o) in
+          raised = raises (fun () -> Hashtbl_testable.record !m id o) && agree id
+        | Tt_find id -> agree id
+        | Tt_reset ->
+          Db.Testable_tx.reset !t;
+          Hashtbl.reset !m;
+          true
+        | Tt_thaw_fresh ->
+          thaw_into (Db.Testable_tx.create ());
+          true
+        | Tt_thaw_onto held ->
+          let target = Db.Testable_tx.create () in
+          List.iter
+            (fun (id, o) ->
+              if not (Db.Testable_tx.already_processed target id) then
+                Db.Testable_tx.record target id o)
+            held;
+          thaw_into target;
+          List.for_all (fun (id, _) -> agree id) held
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Db.Testable_tx.count !t = Hashtbl.length !m
+          && Db.Testable_tx.committed_count !t = Hashtbl_testable.committed_count !m)
+        ops
+      && Hashtbl.fold (fun id _ ok -> ok && agree id) !m true)
+
+let test_thaw_copies_frozen_state () =
+  (* A duplicated Join_state can reach a recovering joiner twice: what the
+     replica does after installing the first copy must not reach the
+     second, and what the donor does after answering must reach neither. *)
+  let uid seq = { Gcs.Uid.origin = 0; incarnation = 1; seq } in
+  let view = Db.Testable_tx.create ()
+  and cert = Db.Certifier.create ()
+  and uids = Gcs.Uid_set.create () in
+  List.iter (fun id -> Db.Testable_tx.record view id Db.Testable_tx.Committed) [ 1; 2; 5_000; -3 ];
+  Db.Certifier.note_commit cert ~write_items:[ 10; 20 ];
+  List.iter (fun seq -> ignore (Gcs.Uid_set.add uids (uid seq))) [ 0; 1; 3 ];
+  let frozen_view = Db.Testable_tx.freeze view
+  and frozen_cert = Db.Certifier.freeze cert
+  and runs = Gcs.Uid_set.export uids in
+  let donor_cert = Db.Certifier.export cert in
+  Db.Testable_tx.record view 3 Db.Testable_tx.Aborted;
+  Db.Certifier.note_commit cert ~write_items:[ 20 ];
+  ignore (Gcs.Uid_set.add uids (uid 2));
+  let install () =
+    let v = Db.Testable_tx.create ()
+    and c = Db.Certifier.create ()
+    and u = Gcs.Uid_set.create () in
+    Db.Testable_tx.thaw v frozen_view;
+    Db.Certifier.thaw c frozen_cert;
+    Gcs.Uid_set.import u runs;
+    (v, c, u)
+  in
+  let v, c, u = install () in
+  (* Writes inside the thawed pages and window, and the uid gap. *)
+  Db.Testable_tx.record v 4 Db.Testable_tx.Committed;
+  Db.Testable_tx.record v 5_001 Db.Testable_tx.Aborted;
+  Db.Certifier.note_commit c ~write_items:[ 10; 20 ];
+  ignore (Gcs.Uid_set.add u (uid 2));
+  let v, c, u = install () in
+  check_int "view count" 4 (Db.Testable_tx.count v);
+  check_int "view commits" 4 (Db.Testable_tx.committed_count v);
+  List.iter
+    (fun id ->
+      check_bool (Printf.sprintf "T%d unknown" id) false (Db.Testable_tx.already_processed v id))
+    [ 3; 4; 5_001 ];
+  check_bool "T5000 committed" true
+    (Db.Testable_tx.find v 5_000 = Some Db.Testable_tx.Committed);
+  check_bool "certifier state is the donor's" true (Db.Certifier.export c = donor_cert);
+  check_bool "uid runs are the donor's" true (Gcs.Uid_set.export u = runs)
 
 (* ---- Db_engine ---- *)
 
@@ -577,7 +717,12 @@ let () =
                prop_certifier_matches_hashtbl_model;
                prop_lock_table_exclusion;
              ] );
-      ("testable_tx", [ Alcotest.test_case "dedup" `Quick test_testable_dedup ]);
+      ( "testable_tx",
+        [
+          Alcotest.test_case "dedup" `Quick test_testable_dedup;
+          QCheck_alcotest.to_alcotest prop_testable_matches_hashtbl_model;
+          Alcotest.test_case "thaw copies frozen state" `Quick test_thaw_copies_frozen_state;
+        ] );
       ( "db_engine",
         [
           Alcotest.test_case "hit is free" `Quick test_engine_read_hit_is_free;

@@ -768,6 +768,91 @@ let prop_e2e_agreement_under_crash_storms =
       let s0 = stream 0 in
       stream 1 = s0 && stream 2 = s0)
 
+(* ---- Uid sets ---- *)
+
+type uid_op =
+  | Us_add of Uid.t
+  | Us_burst of int * int * int * int  (** origin, incarnation, first seq, length *)
+  | Us_reset
+  | Us_transfer of Uid.t list  (** export, then import into a new set holding these *)
+
+(* The runs a set holding exactly the model's uids must export: per
+   (origin, incarnation), ascending, the least absent seq and the members
+   above it. *)
+let model_runs m =
+  let uids = List.sort Uid.compare (Hashtbl.fold (fun u () acc -> u :: acc) m []) in
+  let keys = List.sort_uniq compare (List.map (fun u -> (u.Uid.origin, u.Uid.incarnation)) uids) in
+  List.map
+    (fun (origin, incarnation) ->
+      let rec least seq =
+        if Hashtbl.mem m { Uid.origin; incarnation; seq } then least (seq + 1) else seq
+      in
+      let below = least 0 in
+      let above =
+        List.filter_map
+          (fun u ->
+            if u.Uid.origin = origin && u.Uid.incarnation = incarnation && u.Uid.seq > below then
+              Some u.Uid.seq
+            else None)
+          uids
+      in
+      { Uid_set.origin; incarnation; below; above })
+    keys
+
+let prop_uid_set_matches_hashtbl_set =
+  (* Three origins with three incarnations each; seqs mostly small, so
+     out-of-order arrivals, duplicates and gaps that fill late are common,
+     with in-order bursts and some far seqs whose gaps never fill. *)
+  let uid =
+    QCheck2.Gen.(
+      map3
+        (fun origin incarnation seq -> { Uid.origin; incarnation; seq })
+        (int_range 0 2) (int_range 0 2)
+        (frequency [ (3, int_range 0 12); (1, int_range 0 40) ]))
+  in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (8, map (fun u -> Us_add u) uid);
+          ( 2,
+            map
+              (fun (o, i, first, len) -> Us_burst (o, i, first, len))
+              (quad (int_range 0 2) (int_range 0 2) (int_range 0 20) (int_range 1 12)) );
+          (1, pure Us_reset);
+          (2, map (fun l -> Us_transfer l) (list_size (int_range 0 6) uid));
+        ])
+  in
+  QCheck2.Test.make ~name:"uid runs match a hashtable set" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+      let s = ref (Uid_set.create ()) and m = Hashtbl.create 16 in
+      let add u =
+        let fresh = not (Hashtbl.mem m u) in
+        Hashtbl.replace m u ();
+        Uid_set.add !s u = fresh
+      in
+      let step = function
+        | Us_add u -> add u
+        | Us_burst (origin, incarnation, first, len) ->
+          List.for_all
+            (fun k -> add { Uid.origin; incarnation; seq = first + k })
+            (List.init len Fun.id)
+        | Us_reset ->
+          Uid_set.reset !s;
+          Hashtbl.reset m;
+          true
+        | Us_transfer held ->
+          let runs = Uid_set.export !s in
+          let target = Uid_set.create () in
+          List.iter (fun u -> ignore (Uid_set.add target u)) held;
+          Uid_set.import target runs;
+          s := target;
+          List.iter (fun u -> Hashtbl.replace m u ()) held;
+          true
+      in
+      List.for_all (fun op -> step op && Uid_set.export !s = model_runs m) ops)
+
 (* ---- View ---- *)
 
 let test_view_basics () =
@@ -1151,4 +1236,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_e2e_agreement_under_crash_storms;
         ] );
       ("view", [ Alcotest.test_case "basics" `Quick test_view_basics ]);
+      ("uid_set", [ QCheck_alcotest.to_alcotest prop_uid_set_matches_hashtbl_set ]);
     ]

@@ -357,6 +357,33 @@ let test_cross_group_cut_two_safe () =
   check_bool "clean" false o.SC.failed;
   check_int "both cross txs committed" 2 o.SC.cross.SC.cv_cross_committed
 
+let test_later_partition_replaces_cut () =
+  (* A later Partition replaces the cut on every group, including one it
+     names no member of: group 1's cut isolating its server 0 (global 3)
+     must be gone once a cut naming only group 0's server 0 follows. *)
+  let groups = Array.init 2 (fun _ -> System.create ~seed:7L ~trace_enabled:false two_safe) in
+  let sps = System.n_servers groups.(0) in
+  let sched =
+    S.make ~servers:(2 * sps) ~txs:1 ~spacing:(st 5000)
+      [
+        { S.at = st 1000; kind = S.Partition [ [ sps ] ] };
+        { S.at = st 2000; kind = S.Partition [ [ 0 ] ] };
+      ]
+  in
+  E.interpret ~holds:(Array.make (2 * sps) Sim.Sim_time.span_zero) groups sched;
+  let reachable g a b =
+    let sys = groups.(g) in
+    Net.Network.reachable (System.network sys) (System.server_id sys a) (System.server_id sys b)
+  in
+  let run_to us =
+    Array.iter (fun sys -> Sim.Engine.run ~until:(Sim.Sim_time.of_us us) (System.engine sys)) groups
+  in
+  run_to 1500;
+  check_bool "group 1 cut by the first partition" false (reachable 1 0 1);
+  run_to 2500;
+  check_bool "group 1 cut replaced" true (reachable 1 0 1);
+  check_bool "group 0 cut by the second partition" false (reachable 0 0 1)
+
 let test_storm_two_safe_clean () =
   let cfg = SC.default_config ~shards:2 ~cross_every:2 two_safe in
   let r = SC.storm ~seed:42L ~budget:8 cfg in
@@ -506,6 +533,8 @@ let () =
             test_whole_shard_isolation_two_safe;
           Alcotest.test_case "cut across groups, 2-safe clean" `Quick
             test_cross_group_cut_two_safe;
+          Alcotest.test_case "later partition replaces the cut" `Quick
+            test_later_partition_replaces_cut;
           Alcotest.test_case "small storm budget, 2-safe clean" `Quick test_storm_two_safe_clean;
           Alcotest.test_case "vocabulary guards" `Quick test_schedule_vocabulary_guards;
         ] );

@@ -67,7 +67,6 @@ let backend_arg =
 
 let tuning_of batch window backend =
   {
-    Gcs.Bcast_tuning.default with
     Gcs.Bcast_tuning.batch;
     window = (match window with Some w -> w | None -> max_int);
     dissemination = backend;

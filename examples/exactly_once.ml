@@ -36,10 +36,12 @@ let () =
 
   (* Sabotage: 2 ms in, the link between the client and S0 fails. The
      request already arrived; the reply (due ~10 ms) will be dropped. *)
-  Crash_injector.after sys (ms 2.) (fun () ->
-      Format.printf "[%a] link client<->S0 fails; the reply will be lost@." Sim.Sim_time.pp
-        (System.now sys);
-      Net.Network.block_link (System.network sys) (Client.node_id client) (System.server_id sys 0));
+  ignore
+    (Sim.Engine.schedule (System.engine sys) ~delay:(ms 2.) (fun () ->
+         Format.printf "[%a] link client<->S0 fails; the reply will be lost@." Sim.Sim_time.pp
+           (System.now sys);
+         Net.Network.block_link (System.network sys) (Client.node_id client)
+           (System.server_id sys 0)));
 
   System.run_for sys (sec 5.);
 

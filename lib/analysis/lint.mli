@@ -31,9 +31,6 @@ val rules : (string * string) list
     tier, [L-*] lint-meta (malformed/stale suppressions, unreadable
     files). *)
 
-val known_rule : string -> bool
-(** [known_rule id] is true when [id] appears in {!rules}. *)
-
 val suppressible : string -> bool
 (** Rules a [[@lint.allow]] may name: everything except the [L-*] meta
     rules, which would otherwise be able to hide their own diagnostics. *)
@@ -58,14 +55,10 @@ val unused_allows : allow list -> finding list
     rule id) so the two tiers' separate sightings of one attribute count as
     one. Only meaningful for a full syntactic+typed run. *)
 
-val lint_source : file:string -> lib:bool -> string -> finding list * allow list
-(** [lint_source ~file ~lib src] lints the implementation source [src] and
-    also returns every suppression it walked past (with [a_used] set where
-    it suppressed something). [file] is used for reporting only; [lib]
-    enables the library-only rules ([P-toplevel-mutable]). *)
-
 val check_source : file:string -> lib:bool -> string -> finding list
-(** [check_source ~file ~lib src] is [fst (lint_source ~file ~lib src)]. *)
+(** [check_source ~file ~lib src] lints the implementation source [src].
+    [file] is used for reporting only; [lib] enables the library-only
+    rules ([P-toplevel-mutable]). *)
 
 val lint_file : lib:bool -> string -> finding list * allow list
 (** [lint_file ~lib path] reads and lints [path]; when [lib] is set it also

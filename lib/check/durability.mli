@@ -71,5 +71,4 @@ val certify :
     transaction's delegate crashed during the run (defaults to never, the
     conservative direction for 0/1-safe permissions). *)
 
-val pp_classification : Format.formatter -> classification -> unit
 val pp : Format.formatter -> verdict -> unit

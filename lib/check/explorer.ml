@@ -596,14 +596,16 @@ let repair_fair ~horizon t =
    fairness constraint cuts away). After a few rejections, repair the
    last candidate instead of drawing again, so a pathological RNG stretch
    cannot stall generation. *)
-let random_fair_schedule ?(max_attempts = 3) config rng ~max_events ~note =
+let max_fair_attempts = 3
+
+let random_fair_schedule config rng ~max_events ~note =
   let rec attempt n =
     let candidate = random_schedule config rng ~max_events in
     match Schedule.fairness_violation ~horizon:config.horizon candidate with
     | None -> candidate
     | Some reason ->
       note reason;
-      if n >= max_attempts then repair_fair ~horizon:config.horizon candidate
+      if n >= max_fair_attempts then repair_fair ~horizon:config.horizon candidate
       else attempt (n + 1)
   in
   attempt 1
@@ -722,8 +724,11 @@ let search ?(exhaustive = Seq.empty) ~storm ~admissible ~failed ~replay ~budget 
   in
   (!runs, counterexample)
 
-let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_random_events = 4)
-    ?(recoveries = true) ~seed ~budget (config : config) =
+(* The instants the exhaustive pass places its events at. *)
+let exhaustive_slots = [ ms 2.; ms 30. ]
+
+let explore ?(max_exhaustive_events = 3) ?(max_random_events = 4) ~seed ~budget (config : config)
+    =
   let rng = Sim.Rng.create seed in
   (* Fairness-rejection tally, reason -> count, in first-seen order.
      Candidates are generated sequentially on this domain, so the tally is
@@ -740,7 +745,9 @@ let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_rand
      paired with a crash, a pattern the combination universe lacks. *)
   let exhaustive =
     if config.liveness || config.storage then Seq.empty
-    else exhaustive config ~slots ~max_events:max_exhaustive_events ~recoveries
+    else
+      exhaustive config ~slots:exhaustive_slots ~max_events:max_exhaustive_events
+        ~recoveries:true
   in
   let storm () =
     if config.liveness then
@@ -759,6 +766,20 @@ let explore ?(slots = [ ms 2.; ms 30. ]) ?(max_exhaustive_events = 3) ?(max_rand
   in
   { config; seed; budget; runs; rejections = !rejections; counterexample }
 
+(* ---- directed scenarios ---- *)
+
+(* Every directed scenario starts from the same system: built from the
+   config, mutated, then settled for 1 s (first election, first empty
+   heartbeat rounds). *)
+let settled config =
+  let sys =
+    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
+      ~tuning:config.tuning config.technique
+  in
+  config.mutate sys;
+  System.run_for sys (sec 1.);
+  sys
+
 (* ---- directed scenario: the minority must stall, not diverge ---- *)
 
 type stall_outcome = {
@@ -771,17 +792,16 @@ type stall_outcome = {
   ok : bool;
 }
 
-let minority_stall ?(cut = sec 2.) config =
+(* How long the minority stays cut off. *)
+let stall_cut = sec 2.
+
+let minority_stall config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.minority_stall: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
   (* Settle (leader election), cut S0 off, then offer work to both sides:
      uniform delivery needs a quorum, so the minority delegate must sit on
      its transaction while the majority keeps committing. *)
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   let minority = [ 0 ] in
   let majority = List.init (n - 1) (fun i -> i + 1) in
   System.partition sys [ minority; majority ];
@@ -793,7 +813,7 @@ let minority_stall ?(cut = sec 2.) config =
   System.submit sys ~delegate:1
     ~on_response:(fun o -> if o = Db.Testable_tx.Committed then majority_committed := true)
     (Db.Transaction.make ~id:1 ~client:0 [ Db.Op.Write (1, 2) ]);
-  System.run_for sys cut;
+  System.run_for sys stall_cut;
   let minority_acked_during = !minority_acks in
   let majority_committed_during = !majority_committed in
   let minority_applied_during =
@@ -831,6 +851,8 @@ type takeover_outcome = {
   ok : bool;
 }
 
+let takeover_kills = 3
+
 (* The takeover family hunts the wedge the storms reach only by luck:
    every round finds the current ordering leader, puts a transaction in
    flight through a *different* delegate, kills the leader mid-broadcast,
@@ -838,20 +860,14 @@ type takeover_outcome = {
    throughout, so the liveness oracle owes a decision for every round's
    transaction — a successor that never re-drives the dead leader's
    in-flight slots wedges them all. *)
-let leader_takeover ?(kills = 3) config =
+let leader_takeover config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.leader_takeover: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  (* Settle: first election, first empty heartbeat rounds. *)
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   let killed = ref [] in
   let takeovers = ref 0 in
   let submitted = ref 0 in
-  for round = 0 to kills - 1 do
+  for round = 0 to takeover_kills - 1 do
     match System.leaders sys with
     | [] ->
       (* No established leader right now (previous revival still
@@ -879,14 +895,14 @@ let leader_takeover ?(kills = 3) config =
   let converge = Convergence.certify sys in
   let liveness = Liveness.certify sys in
   {
-    kills;
+    kills = takeover_kills;
     killed = List.rev !killed;
     takeovers = !takeovers;
     submitted_txs = !submitted;
     liveness;
     converge;
     ok =
-      !takeovers = !submitted && !submitted = kills && liveness.Liveness.live
+      !takeovers = !submitted && !submitted = takeover_kills && liveness.Liveness.live
       && converge.Convergence.converged;
   }
 
@@ -901,23 +917,20 @@ type torn_outcome = {
   t_ok : bool;
 }
 
+let torn_rounds = 3
+
 (* Every round arms a torn write on the current ordering leader (the
    server whose WAL tail is hottest), crashes it once the round's commit
    record is durable, and demands that the recovery scan found and
    truncated the half-written tail frame — a non-empty repair report per
    round, and the durability oracle's repaired = scanned bookkeeping
    intact at the end. *)
-let torn_leader_tail ?(rounds = 3) config =
+let torn_leader_tail config =
   let n = config.params.Workload.Params.servers in
   if n < 3 then invalid_arg "Explorer.torn_leader_tail: needs at least 3 servers";
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   let reports = ref 0 in
-  for round = 0 to rounds - 1 do
+  for round = 0 to torn_rounds - 1 do
     let victim = match System.leaders sys with l :: _ -> l | [] -> round mod n in
     System.submit sys ~delegate:victim
       (Db.Transaction.make ~id:round ~client:0 [ Db.Op.Write (round mod 8, round + 1) ]);
@@ -939,15 +952,15 @@ let torn_leader_tail ?(rounds = 3) config =
   let report = Safety_checker.analyse sys in
   let verdict = Durability.certify ~delegate_crashed:(fun _ -> true) sys report in
   {
-    t_rounds = rounds;
+    t_rounds = torn_rounds;
     t_fired = verdict.Durability.torn_fired;
     t_repaired = verdict.Durability.torn_repaired;
     t_reports = !reports;
     t_verdict = verdict;
     t_ok =
-      verdict.Durability.torn_fired = rounds
-      && verdict.Durability.torn_repaired = rounds
-      && !reports = rounds && verdict.Durability.clean;
+      verdict.Durability.torn_fired = torn_rounds
+      && verdict.Durability.torn_repaired = torn_rounds
+      && !reports = torn_rounds && verdict.Durability.clean;
   }
 
 (* ---- directed scenario: every disk lies, then the whole group crashes ---- *)
@@ -961,6 +974,8 @@ type lie_outcome = {
   f_ok : bool;
 }
 
+let lie_txs = 2
+
 (* The lattice's limit case: every replica's fsync lies before the load
    arrives, so every commit record is acked-but-volatile, and the whole
    group then crashes. No level survives — the acked transactions are
@@ -969,18 +984,13 @@ type lie_outcome = {
    flagged-but-allowed window), group-safe's by the group failure, and
    2-safe's only by the total storage betrayal — so the oracle must
    report the loss yet stay clean for all of them. *)
-let fsync_lie_group_crash ?(txs = 2) config =
+let fsync_lie_group_crash config =
   let n = config.params.Workload.Params.servers in
-  let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
-  in
-  config.mutate sys;
-  System.run_for sys (sec 1.);
+  let sys = settled config in
   for i = 0 to n - 1 do
     System.inject_storage_fault sys i Db.Db_engine.Fsync_lie
   done;
-  for i = 0 to txs - 1 do
+  for i = 0 to lie_txs - 1 do
     System.submit sys ~delegate:0 (Db.Transaction.make ~id:i ~client:0 [ Db.Op.Write (i, i + 1) ])
   done;
   (* Acks, propagation to every replica, and the lying flushes all land. *)

@@ -245,18 +245,6 @@ val repair_fair : horizon:Sim.Sim_time.span -> Schedule.t -> Schedule.t
     missing recoveries and heal at the horizon. Used as the storm
     generator's fallback after repeated unfair draws. *)
 
-val random_fair_schedule :
-  ?max_attempts:int ->
-  config ->
-  Sim.Rng.t ->
-  max_events:int ->
-  note:(string -> unit) ->
-  Schedule.t
-(** One fair random storm: draw {!random_schedule} candidates, reject
-    unfair ones (reporting each {!Schedule.fairness_violation} reason to
-    [note]), and after [max_attempts] (default 3) rejected draws repair
-    the last candidate with {!repair_fair} instead of drawing again. *)
-
 val random_schedule : config -> Sim.Rng.t -> max_events:int -> Schedule.t
 (** One random storm. Without [config.nemesis] or [config.storage]:
     crashes, recoveries and (when [config.delays]) delivery delays,
@@ -273,21 +261,22 @@ val random_schedule : config -> Sim.Rng.t -> max_events:int -> Schedule.t
     adding one family never perturbs another. *)
 
 val explore :
-  ?slots:Sim.Sim_time.span list ->
   ?max_exhaustive_events:int ->
   ?max_random_events:int ->
-  ?recoveries:bool ->
   seed:int64 ->
   budget:int ->
   config ->
   result
 (** {!search} up to [budget] schedules of one group — the {!exhaustive}
-    pass first (skipped in liveness and storage mode), then seeded storms
-    ({!random_fair_schedule} in liveness mode, else {!random_schedule}) —
-    stopping at the first failure, shrinking it (fairness-preserving in
-    liveness mode) and replaying the shrunk schedule with tracing.
-    Deterministic per ([seed], [budget], config) and byte-identical at any
-    worker count. *)
+    pass first, up to [max_exhaustive_events] (default 3) events at the
+    2 ms and 30 ms slots with recoveries (skipped in liveness and storage
+    mode), then seeded storms of up to [max_random_events] (default 4)
+    events ({!random_schedule}; in liveness mode only fair ones, each
+    unfair draw rejected and tallied, and the third rejected draw in a row
+    repaired with {!repair_fair}) — stopping at the first failure,
+    shrinking it (fairness-preserving in liveness mode) and replaying the
+    shrunk schedule with tracing. Deterministic per ([seed], [budget],
+    config) and byte-identical at any worker count. *)
 
 (** {2 Directed scenario: a minority partition must stall, not diverge} *)
 
@@ -301,20 +290,20 @@ type stall_outcome = {
   ok : bool;  (** stalled, majority progressed, resumed, converged. *)
 }
 
-val minority_stall : ?cut:Sim.Sim_time.span -> config -> stall_outcome
-(** [minority_stall config] settles the group for 1 s, partitions server 0
-    away, submits one transaction to each side, holds the cut for [cut]
-    (default 2 s), heals, waits [config.quiescence] and certifies. Under
-    uniform delivery the minority must acknowledge and apply {e nothing}
-    while cut off, then catch up and answer after the heal. Meaningful for
-    the broadcast-based (Dsm) techniques; eager 2PC cannot commit on
-    either side with a member unreachable, so [ok] is honestly [false]
-    there. *)
+val minority_stall : config -> stall_outcome
+(** [minority_stall config] settles the group for 1 s (after
+    [config.mutate]), partitions server 0 away, submits one transaction to
+    each side, holds the cut for 2 s, heals, waits [config.quiescence] and
+    certifies. Under uniform delivery the minority must acknowledge and
+    apply {e nothing} while cut off, then catch up and answer after the
+    heal. Meaningful for the broadcast-based (Dsm) techniques; eager 2PC
+    cannot commit on either side with a member unreachable, so [ok] is
+    honestly [false] there. *)
 
 (** {2 Directed scenario family: repeated leader kills mid-broadcast} *)
 
 type takeover_outcome = {
-  kills : int;  (** rounds requested. *)
+  kills : int;  (** rounds requested (3). *)
   killed : int list;  (** leaders killed, in kill order. *)
   takeovers : int;  (** rounds where a {e different} leader was established
                         before the dead one was revived. *)
@@ -326,22 +315,23 @@ type takeover_outcome = {
           decided, converged. *)
 }
 
-val leader_takeover : ?kills:int -> config -> takeover_outcome
-(** [leader_takeover config] settles the group for 1 s, then [kills]
-    (default 3) times over: finds the current ordering leader, submits a
-    transaction through a {e different} delegate (which stays up, so the
-    liveness oracle owes its decision), crashes the leader half a
-    millisecond later — mid-broadcast — waits for a successor, revives
-    the dead leader, and finally certifies liveness and convergence after
-    [config.quiescence]. One server is down at a time, so the group never
-    fails: a correct ordering protocol must re-drive the dead leader's
-    in-flight slots and decide every round's transaction. Needs at least
-    3 servers and an ordering layer (Dsm techniques). *)
+val leader_takeover : config -> takeover_outcome
+(** [leader_takeover config] settles the group for 1 s (after
+    [config.mutate]), then three times over: finds the current ordering
+    leader, submits a transaction through a {e different} delegate (which
+    stays up, so the liveness oracle owes its decision), crashes the
+    leader half a millisecond later — mid-broadcast — waits for a
+    successor, revives the dead leader, and finally certifies liveness and
+    convergence after [config.quiescence]. One server is down at a time,
+    so the group never fails: a correct ordering protocol must re-drive
+    the dead leader's in-flight slots and decide every round's
+    transaction. Needs at least 3 servers and an ordering layer (Dsm
+    techniques). *)
 
 (** {2 Directed scenario: tear the leader's WAL tail, recovery must repair} *)
 
 type torn_outcome = {
-  t_rounds : int;  (** rounds requested. *)
+  t_rounds : int;  (** rounds requested (3). *)
   t_fired : int;  (** torn writes that actually mutilated a tail record. *)
   t_repaired : int;  (** torn tails the recovery scans truncated. *)
   t_reports : int;  (** recoveries whose repair report was non-empty. *)
@@ -351,15 +341,15 @@ type torn_outcome = {
           it, and the durability verdict is clean. *)
 }
 
-val torn_leader_tail : ?rounds:int -> config -> torn_outcome
-(** [torn_leader_tail config] settles the group for 1 s, then [rounds]
-    (default 3) times over: submits a transaction through the current
-    ordering leader, waits for its commit record to reach the WAL, arms a
-    torn write on that leader and crashes it — mutilating the newest
-    durable record into a half-written tail frame — recovers it, and
-    checks that the recovery scan produced a non-empty repair report.
-    The final durability verdict must account for every tear
-    (repaired = scanned) and be clean. Needs at least 3 servers. *)
+val torn_leader_tail : config -> torn_outcome
+(** [torn_leader_tail config] settles the group for 1 s (after
+    [config.mutate]), then three times over: submits a transaction through
+    the current ordering leader, waits for its commit record to reach the
+    WAL, arms a torn write on that leader and crashes it — mutilating the
+    newest durable record into a half-written tail frame — recovers it,
+    and checks that the recovery scan produced a non-empty repair report.
+    The final durability verdict must account for every tear (repaired =
+    scanned) and be clean. Needs at least 3 servers. *)
 
 (** {2 Directed scenario: every disk lies, then the whole group crashes} *)
 
@@ -375,19 +365,18 @@ type lie_outcome = {
           group-safe, total storage betrayal at 2-safe) permits it. *)
 }
 
-val fsync_lie_group_crash : ?txs:int -> config -> lie_outcome
-(** [fsync_lie_group_crash config] settles the group for 1 s, arms a lying
-    fsync on {e every} server, submits [txs] (default 2) transactions
-    through delegate 0, lets acks and propagation land, crashes the whole
-    group, recovers it and certifies durability. Every level loses the
-    acked transactions (their records were volatile on every disk); what
-    the oracle certifies is the {e classification} — 1-safe's loss was
-    already permitted by the delegate crash (flagged-but-allowed),
-    group-safe's by the group failure, 2-safe's only by the total
-    betrayal — so the verdict must report the loss yet stay clean. *)
+val fsync_lie_group_crash : config -> lie_outcome
+(** [fsync_lie_group_crash config] settles the group for 1 s (after
+    [config.mutate]), arms a lying fsync on {e every} server, submits two
+    transactions through delegate 0, lets acks and propagation land,
+    crashes the whole group, recovers it and certifies durability. Every
+    level loses the acked transactions (their records were volatile on
+    every disk); what the oracle certifies is the {e classification} —
+    1-safe's loss was already permitted by the delegate crash
+    (flagged-but-allowed), group-safe's by the group failure, 2-safe's
+    only by the total betrayal — so the verdict must report the loss yet
+    stay clean. *)
 
-val pp_phase : Format.formatter -> phase -> unit
-val pp_predicate : Format.formatter -> predicate -> unit
 val pp_stall : Format.formatter -> stall_outcome -> unit
 val pp_takeover : Format.formatter -> takeover_outcome -> unit
 val pp_torn : Format.formatter -> torn_outcome -> unit

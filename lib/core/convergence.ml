@@ -11,10 +11,10 @@ type verdict = {
   converged : bool;
 }
 
-let default_probe_bound = Sim.Sim_time.span_s 2.
+let probe_bound = Sim.Sim_time.span_s 2.
 let default_probe_tx_id = 1_000_000
 
-let certify ?(probe_bound = default_probe_bound) ?(probe_tx_id = default_probe_tx_id) sys =
+let certify ?(probe_tx_id = default_probe_tx_id) sys =
   let n = System.n_servers sys in
   let serving_servers = List.filter (System.serving sys) (List.init n Fun.id) in
   let acked_updates =

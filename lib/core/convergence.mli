@@ -35,13 +35,12 @@ type verdict = {
   converged : bool;  (** no holes, no divergence, probe committed. *)
 }
 
-val certify :
-  ?probe_bound:Sim.Sim_time.span -> ?probe_tx_id:int -> System.t -> verdict
-(** [certify sys] submits the probe, {b runs the simulation} for
-    [probe_bound] (default 2 s), and only then measures holes and
-    divergence — deliberately in that order, because a server that sat out
-    a partition catches up when the probe's fresh decision exposes its
-    chosen-slot gap. Call it only after the analysis you want is done, or
+val certify : ?probe_tx_id:int -> System.t -> verdict
+(** [certify sys] submits the probe, {b runs the simulation} for 2 s (the
+    probe's bound), and only then measures holes and divergence —
+    deliberately in that order, because a server that sat out a partition
+    catches up when the probe's fresh decision exposes its chosen-slot
+    gap. Call it only after the analysis you want is done, or
     analyse first. [probe_tx_id] (default 1_000_000) must not collide with
     any workload transaction id. With no serving server the verdict is
     trivially not converged. *)

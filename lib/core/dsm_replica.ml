@@ -93,7 +93,6 @@ type t = {
   mutable bcast : bcast option;
   apply_write_factor : float;
   certify_cpu : Sim.Sim_time.span;
-  mutable cold_start_count : int;
   obs : obs_state;
 }
 
@@ -420,7 +419,6 @@ let install_snapshot t (s : Snapshot.t) =
   pump t
 
 let cold_start t () =
-  t.cold_start_count <- t.cold_start_count + 1;
   tr t "cold_start" [];
   (* Restart from this server's own durable state; the group's volatile
      knowledge is gone (paper Fig. 5). The certifier restarts empty on
@@ -509,18 +507,16 @@ let submit t tx ~on_response =
 
 (* ---- Construction ---- *)
 
-let create server ~group ~mode ~params ?fd_config ?(apply_write_factor = 0.625) ?uniform
-    ?tuning ?delivery_delay ?registry ?tracer ~trace () =
-  ignore params;
+let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform ?tuning
+    ?delivery_delay ~registry ~tracer ~trace () =
   let delay_gate =
     match delivery_delay with
     | None -> Gcs.Delivery_delay.pass
     | Some delay -> Gcs.Delivery_delay.create server.Server.process ~delay
   in
-  let registry = match registry with Some r -> r | None -> Obs.Registry.create () in
   let obs =
     {
-      o_tracer = (match tracer with Some tr -> tr | None -> Obs.Tracer.create ~enabled:false ());
+      o_tracer = tracer;
       h_read = Obs.Registry.histogram registry "phase.read_us";
       h_abcast = Obs.Registry.histogram registry "phase.broadcast_us";
       h_certify = Obs.Registry.histogram registry "phase.certify_us";
@@ -550,7 +546,6 @@ let create server ~group ~mode ~params ?fd_config ?(apply_write_factor = 0.625) 
       bcast = None;
       apply_write_factor;
       certify_cpu = Sim.Sim_time.span_ms 0.1;
-      cold_start_count = 0;
       obs;
     }
   in
@@ -618,5 +613,3 @@ let committed t id =
 
 let committed_count t = Db.Testable_tx.committed_count t.view
 let certifier t = t.cert
-let cold_starts t = t.cold_start_count
-let pipeline_depth t = Queue.length t.pipe

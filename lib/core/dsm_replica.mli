@@ -26,35 +26,30 @@ type mode = Group_safe_mode | Group_one_safe_mode | Two_safe_mode | Very_safe_mo
 
 val mode_level : mode -> Safety.level
 
-val broadcast_family : mode -> [ `Classical | `End_to_end ]
-(** Which broadcast primitive the mode needs: the group-safe pair runs on
-    classical atomic broadcast, the 2-safe pair on end-to-end atomic
-    broadcast. Runtime switching is possible within a family (§5.2). *)
-
 type t
 
 val create :
   Server.t ->
   group:Net.Node_id.t list ->
   mode:mode ->
-  params:Workload.Params.t ->
   ?fd_config:Gcs.Failure_detector.config ->
   ?apply_write_factor:float ->
   ?uniform:bool ->
   ?tuning:Gcs.Bcast_tuning.t ->
   ?delivery_delay:(unit -> Sim.Sim_time.span) ->
-  ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Tracer.t ->
+  registry:Obs.Registry.t ->
+  tracer:Obs.Tracer.t ->
   trace:Sim.Trace.t ->
   unit ->
   t
-(** [create server ~group ~mode ~params ~trace ()] attaches the replica to
-    [server]. [apply_write_factor] scales the disk service time of ordered
-    writeset application (default 0.625: ordered write-back still coalesces
-    some adjacent pages); the group-safe mode's background flushes use the
-    database engine's own asynchronous factor. [uniform] (classical modes
-    only, default [true]) selects uniform delivery in the ordering
-    protocol; [false] is the ablation that invalidates group-safety.
+(** [create server ~group ~mode ~registry ~tracer ~trace ()] attaches the
+    replica to [server]. [apply_write_factor] scales the disk service time
+    of ordered writeset application (default 0.625: ordered write-back
+    still coalesces some adjacent pages); the group-safe mode's background
+    flushes use the database engine's own asynchronous factor. [uniform]
+    (classical modes only, default [true]) selects uniform delivery in the
+    ordering protocol; [false] is the ablation that invalidates
+    group-safety.
     [delivery_delay], when given, installs a deterministic
     {!Gcs.Delivery_delay} gate between the broadcast's decide point and
     this replica's processing pipeline — the schedule explorer's message
@@ -64,9 +59,8 @@ val create :
     ([phase.read_us], [phase.broadcast_us], [phase.certify_us],
     [phase.wal_us]), the Fig.-9 ack-path counters ([txn.ack_before_disk]
     vs [txn.ack_after_disk]) and the broadcast stack's [abcast.*]/
-    [e2e.*]/[log.*] counters; omitted, they land in a private registry.
-    [tracer], when enabled, additionally records each phase as a
-    Chrome-trace span on this server's track. *)
+    [e2e.*]/[log.*] counters. [tracer], when enabled, additionally records
+    each phase as a Chrome-trace span on this server's track. *)
 
 val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> unit) -> unit
 (** Run the transaction with this server as delegate. [on_response] fires
@@ -84,7 +78,8 @@ val set_mode : t -> mode -> unit
     group-safe can be swapped on the fly (§5.2). Effective for writesets
     processed from now on; a relaxation may immediately release waiting
     responses. @raise Invalid_argument when the new mode needs the other
-    broadcast primitive ({!broadcast_family}). *)
+    broadcast primitive: the group-safe pair runs on classical atomic
+    broadcast, the 2-safe pair on end-to-end atomic broadcast. *)
 
 val committed : t -> Db.Transaction.id -> bool
 (** Whether this replica's current (group-consistent) view includes the
@@ -92,12 +87,6 @@ val committed : t -> Db.Transaction.id -> bool
 
 val committed_count : t -> int
 val certifier : t -> Db.Certifier.t
-val cold_starts : t -> int
-(** Times this replica restarted the group from local state. *)
-
-val pipeline_depth : t -> int
-(** Writesets queued for in-order processing right now. *)
-
 val is_leading : t -> bool
 (** Whether this replica's broadcast stack currently leads the ordering
     protocol — progress evidence for the liveness oracle. *)

@@ -20,7 +20,6 @@ type t = {
   local_commits : (int, Sim.Sim_time.t * Sim.Sim_time.t) Hashtbl.t;
   mutable ready : bool;
   mutable deadlock_aborts : int;
-  mutable propagations : int;
   mutable cross_site_conflicts : int;
   c_ack_before_disk : Obs.Registry.counter;
   c_ack_after_disk : Obs.Registry.counter;
@@ -91,7 +90,6 @@ let apply_remote t ws ~started_at ~committed_at =
     Db.Db_engine.log_commit_quiet db ~tx ~decision:Db.Certifier.Commit ~writes;
     Db.Db_engine.write_io db ~count:(List.length writes) ~factor:(Db.Db_engine.async_factor db)
       ~k:(fun () -> ());
-    t.propagations <- t.propagations + 1;
     Obs.Registry.inc t.c_remote_applies;
     tr t "apply" [ ("tx", string_of_int tx) ]
   end
@@ -210,12 +208,7 @@ let recover t =
   tr t "recovered_local" [];
   t.ready <- true
 
-let create server ~group ~mode ~params ?registry ?tracer ~trace () =
-  ignore params;
-  let registry = match registry with Some r -> r | None -> Obs.Registry.create () in
-  let o_tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ~enabled:false ()
-  in
+let create server ~group ~mode ~registry ~tracer ~trace =
   let self = Net.Endpoint.id server.Server.endpoint in
   let others = List.filter (fun n -> not (Net.Node_id.equal n self)) group in
   let t =
@@ -228,13 +221,12 @@ let create server ~group ~mode ~params ?registry ?tracer ~trace () =
       local_commits = Hashtbl.create 256;
       ready = true;
       deadlock_aborts = 0;
-      propagations = 0;
       cross_site_conflicts = 0;
       c_ack_before_disk = Obs.Registry.counter registry "txn.ack_before_disk";
       c_ack_after_disk = Obs.Registry.counter registry "txn.ack_after_disk";
       c_propagations = Obs.Registry.counter registry "lazy.propagations";
       c_remote_applies = Obs.Registry.counter registry "lazy.remote_applies";
-      o_tracer;
+      o_tracer = tracer;
       h_execute = Obs.Registry.histogram registry "phase.execute_us";
       h_flush = Obs.Registry.histogram registry "phase.flush_us";
       h_apply = Obs.Registry.histogram registry "lazy.propagation_us";
@@ -260,5 +252,4 @@ let committed t id =
 
 let committed_count t = Db.Testable_tx.committed_count t.view
 let deadlock_aborts t = t.deadlock_aborts
-let propagations_applied t = t.propagations
 let cross_site_conflicts t = t.cross_site_conflicts

@@ -22,19 +22,16 @@ val create :
   Server.t ->
   group:Net.Node_id.t list ->
   mode:mode ->
-  params:Workload.Params.t ->
-  ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Tracer.t ->
+  registry:Obs.Registry.t ->
+  tracer:Obs.Tracer.t ->
   trace:Sim.Trace.t ->
-  unit ->
   t
 (** [registry] collects the ack-path counters ([txn.ack_before_disk] for
     0-safe, [txn.ack_after_disk] for 1-safe) plus [lazy.propagations],
     [lazy.remote_applies] and the lifecycle histograms [phase.execute_us],
     [phase.flush_us] and [lazy.propagation_us] (origin commit to remote
-    apply); omitted, they land in a private registry. [tracer], when
-    enabled, additionally records each phase as a Chrome-trace span on
-    this server's track. *)
+    apply). [tracer], when enabled, additionally records each phase as a
+    Chrome-trace span on this server's track. *)
 
 val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> unit) -> unit
 (** Execute with this server as delegate. Local deadlocks abort the
@@ -51,7 +48,6 @@ val recover : t -> unit
 val committed : t -> Db.Transaction.id -> bool
 val committed_count : t -> int
 val deadlock_aborts : t -> int
-val propagations_applied : t -> int
 
 val cross_site_conflicts : t -> int
 (** Remote writesets that conflicted with a concurrent local update of the

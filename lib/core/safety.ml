@@ -29,15 +29,6 @@ let equal a b =
 type delivered_guarantee = Delivered_one | Delivered_all
 type logged_guarantee = Logged_none | Logged_one | Logged_all
 
-let delivered_guarantee = function
-  | Zero_safe | One_safe -> Delivered_one
-  | Group_safe | Group_one_safe | Two_safe | Very_safe -> Delivered_all
-
-let logged_guarantee = function
-  | Zero_safe | Group_safe -> Logged_none
-  | One_safe | Group_one_safe -> Logged_one
-  | Two_safe | Very_safe -> Logged_all
-
 let classify ~delivered ~logged =
   match (delivered, logged) with
   | Delivered_one, Logged_none -> Some Zero_safe

@@ -26,14 +26,6 @@ val equal : level -> level -> bool
 type delivered_guarantee = Delivered_one | Delivered_all
 type logged_guarantee = Logged_none | Logged_one | Logged_all
 
-val delivered_guarantee : level -> delivered_guarantee
-(** Table 1, vertical axis: on how many servers is delivery of the message
-    guaranteed at notification time. *)
-
-val logged_guarantee : level -> logged_guarantee
-(** Table 1, horizontal axis: on how many servers is the transaction
-    guaranteed to be logged at notification time. *)
-
 val classify : delivered:delivered_guarantee -> logged:logged_guarantee -> level option
 (** Table 1 as a lookup: the safety level of a technique with the given
     guarantees. [None] for the impossible cell ([Delivered_one],

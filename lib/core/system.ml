@@ -228,17 +228,16 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
         match technique with
         | Dsm mode ->
           Dsm_r
-            (Dsm_replica.create server ~group ~mode ~params ?fd_config ?apply_write_factor
-               ?uniform ?tuning ?delivery_delay:(delivery_delay index) ~registry:obs_registry
+            (Dsm_replica.create server ~group ~mode ?fd_config ?apply_write_factor ?uniform
+               ?tuning ?delivery_delay:(delivery_delay index) ~registry:obs_registry
                ~tracer:obs_tracer ~trace ())
         | Lazy mode ->
           Lazy_r
-            (Lazy_replica.create server ~group ~mode ~params ~registry:obs_registry
-               ~tracer:obs_tracer ~trace ())
+            (Lazy_replica.create server ~group ~mode ~registry:obs_registry ~tracer:obs_tracer
+               ~trace)
         | Two_pc ->
           Tpc_r
-            (Twopc_replica.create server ~group ~params ~registry:obs_registry
-               ~tracer:obs_tracer ~trace ()))
+            (Twopc_replica.create server ~group ~registry:obs_registry ~tracer:obs_tracer ~trace))
       servers
   in
   let t = {

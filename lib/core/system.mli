@@ -12,7 +12,6 @@ type technique =
       (** traditional eager replication over two-phase commit — the
           baseline the paper's introduction argues against. *)
 
-val technique_level : technique -> Safety.level
 val technique_name : technique -> string
 
 val all_techniques : technique list

@@ -34,8 +34,6 @@ type t = {
   prepared_log : prep_record Store.Stable_storage.t;
   prepared : (Db.Transaction.id, prep_record) Hashtbl.t;  (* in doubt *)
   coordinating : (Db.Transaction.id, coord_state) Hashtbl.t;
-  lock_timeout : Sim.Sim_time.span;
-  vote_timeout : Sim.Sim_time.span;
   mutable ready : bool;
   mutable deadlock_aborts : int;
   mutable vote_timeouts : int;
@@ -49,6 +47,11 @@ type t = {
   h_decision_flush : Obs.Histogram.t;  (* coordinator: decision -> commit record durable *)
   h_participant_prepare : Obs.Histogram.t;  (* participant: prepare in -> vote out *)
 }
+
+(* A participant waits this long for its write locks before voting no; a
+   coordinator this long for the votes before aborting. *)
+let lock_timeout = Sim.Sim_time.span_ms 300.
+let vote_timeout = Sim.Sim_time.span_s 1.
 
 let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
 let guard t k = Sim.Process.guard t.server.Server.process k
@@ -157,7 +160,7 @@ let start_two_phase_commit t tx ~on_response =
            Obs.Registry.inc t.c_prepares_sent;
            List.iter (fun p -> send t p (Tpc_prepare { tx_id; writes; coordinator = self })) t.others));
   ignore
-    (Sim.Process.after t.server.Server.process t.vote_timeout (fun () ->
+    (Sim.Process.after t.server.Server.process vote_timeout (fun () ->
          match Hashtbl.find_opt t.coordinating tx_id with
          | Some c when not c.c_decided ->
            t.vote_timeouts <- t.vote_timeouts + 1;
@@ -215,7 +218,7 @@ let handle_prepare t tx_id writes coordinator =
     (* Waiting too long for locks means a (possibly distributed) deadlock:
        vote no and let the coordinator abort. *)
     ignore
-      (Sim.Process.after t.server.Server.process t.lock_timeout (fun () ->
+      (Sim.Process.after t.server.Server.process lock_timeout (fun () ->
            if (not !granted_all) && not !abandoned then vote_no ()));
     let rec acquire = function
       | [] ->
@@ -368,13 +371,7 @@ and arm_in_doubt_retry t =
   Sim.Process.periodic t.server.Server.process ~every:(Sim.Sim_time.span_ms 500.) (fun () ->
       if Hashtbl.length t.prepared > 0 then resolve_in_doubt t)
 
-let create server ~group ~params ?(lock_timeout = Sim.Sim_time.span_ms 300.)
-    ?(vote_timeout = Sim.Sim_time.span_s 1.) ?registry ?tracer ~trace () =
-  ignore params;
-  let registry = match registry with Some r -> r | None -> Obs.Registry.create () in
-  let o_tracer =
-    match tracer with Some tr -> tr | None -> Obs.Tracer.create ~enabled:false ()
-  in
+let create server ~group ~registry ~tracer ~trace =
   let self = Net.Endpoint.id server.Server.endpoint in
   let group = List.sort Net.Node_id.compare group in
   let others = List.filter (fun n -> not (Net.Node_id.equal n self)) group in
@@ -399,8 +396,6 @@ let create server ~group ~params ?(lock_timeout = Sim.Sim_time.span_ms 300.)
       prepared_log;
       prepared = Hashtbl.create 64;
       coordinating = Hashtbl.create 64;
-      lock_timeout;
-      vote_timeout;
       ready = true;
       deadlock_aborts = 0;
       vote_timeouts = 0;
@@ -408,7 +403,7 @@ let create server ~group ~params ?(lock_timeout = Sim.Sim_time.span_ms 300.)
       c_prepares_sent = Obs.Registry.counter registry "2pc.prepares_sent";
       c_votes = Obs.Registry.counter registry "2pc.votes";
       c_ack_after_disk = Obs.Registry.counter registry "txn.ack_after_disk";
-      o_tracer;
+      o_tracer = tracer;
       h_prepare_force = Obs.Registry.histogram registry "2pc.prepare_force_us";
       h_vote_gather = Obs.Registry.histogram registry "2pc.vote_gather_us";
       h_decision_flush = Obs.Registry.histogram registry "2pc.decision_flush_us";

@@ -25,26 +25,20 @@ type t
 val create :
   Server.t ->
   group:Net.Node_id.t list ->
-  params:Workload.Params.t ->
-  ?lock_timeout:Sim.Sim_time.span ->
-  ?vote_timeout:Sim.Sim_time.span ->
-  ?registry:Obs.Registry.t ->
-  ?tracer:Obs.Tracer.t ->
+  registry:Obs.Registry.t ->
+  tracer:Obs.Tracer.t ->
   trace:Sim.Trace.t ->
-  unit ->
   t
-(** [create server ~group ~params ~trace ()] attaches the replica.
-    [lock_timeout] (default 300 ms) bounds a participant's wait for write
-    locks before voting no; [vote_timeout] (default 1 s) bounds the
-    coordinator's wait for votes before aborting. [registry] collects
+(** [create server ~group ~registry ~tracer ~trace] attaches the replica.
+    A participant waits 300 ms for its write locks before voting no; a
+    coordinator waits 1 s for the votes before aborting. [registry] collects
     [2pc.prepares_sent], [2pc.votes] and [txn.ack_after_disk], plus the
     internal-phase histograms [2pc.prepare_force_us] (2PC start to
     coordinator prepare record durable), [2pc.vote_gather_us] (votes
     solicited to decision), [2pc.decision_flush_us] (decision to commit
     record durable) and [2pc.participant_prepare_us] (prepare received to
-    vote sent); omitted, they land in a private registry. [tracer], when
-    enabled, additionally records each phase as a Chrome-trace span on
-    this server's track. *)
+    vote sent). [tracer], when enabled, additionally records each phase as
+    a Chrome-trace span on this server's track. *)
 
 val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> unit) -> unit
 (** Execute with this server as coordinator. The response arrives after

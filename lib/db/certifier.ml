@@ -16,10 +16,6 @@ type decision = Commit | Abort
 let decision_equal a b =
   match (a, b) with Commit, Commit | Abort, Abort -> true | Commit, Abort | Abort, Commit -> false
 
-let pp_decision ppf = function
-  | Commit -> Format.pp_print_string ppf "commit"
-  | Abort -> Format.pp_print_string ppf "abort"
-
 let create () = { version = 0; base = 0; last_written = [||]; commits = 0; aborts = 0 }
 
 let current_version c = c.version

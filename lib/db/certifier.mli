@@ -22,7 +22,6 @@ val current_version : t -> int
 type decision = Commit | Abort
 
 val decision_equal : decision -> decision -> bool
-val pp_decision : Format.formatter -> decision -> unit
 
 val certify : t -> start:int -> ws:Transaction.writeset -> decision
 (** [certify c ~start ~ws] runs the test and, on commit, records the

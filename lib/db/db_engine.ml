@@ -353,8 +353,6 @@ let inject t = function
               | Ok _ -> t.corrupt_pending <- flip_last_byte head :: t.corrupt_pending
           end)
 
-let wipe_wal t = inject t Wipe_wal
-
 let break_skip_checksum t = t.verify <- false
 
 let set_disk_slow t factor = Store.Stable_storage.set_write_factor t.wal factor
@@ -395,10 +393,4 @@ let recover t ~k =
          ignore (recover_now t : repair_report);
          k ()))
 
-let log_flushes t = Store.Stable_storage.flush_count t.wal
 let buffer_hit_ratio t = Store.Buffer_pool.hit_ratio t.pool
-
-let pp_repair_report ppf r =
-  Fmt.pf ppf "scanned %d, replayed %d, repairs [%a]" r.scanned r.replayed
-    Fmt.(list ~sep:(any "; ") Wal_codec.pp_repair)
-    r.repairs

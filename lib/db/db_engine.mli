@@ -170,9 +170,6 @@ val inject : t -> fault -> unit
 (** Arm (or, for [Wipe_wal] and [Corrupt_record], immediately perform) a
     storage fault. See {!fault}. *)
 
-val wipe_wal : t -> unit
-(** [inject t Wipe_wal] — the legacy name, kept as a thin alias. *)
-
 val break_skip_checksum : t -> unit
 (** Oracle mutation: disable checksum verification on recovery, modelling
     an unhardened WAL that replays rotted bytes. The durability oracle
@@ -214,7 +211,4 @@ val recover_now : t -> repair_report
     replay what remains, and report what was done. Idempotent: a second
     scan of a repaired log reports no repairs. *)
 
-val log_flushes : t -> int
 val buffer_hit_ratio : t -> float
-
-val pp_repair_report : Format.formatter -> repair_report -> unit

@@ -45,15 +45,7 @@ type writeset = {
 let to_writeset t =
   { tx_id = t.id; ws_client = t.client; read_items = read_set t; write_values = writes t }
 
-let ws_write_items ws = List.map fst ws.write_values
-
 let pp ppf t =
   Format.fprintf ppf "T%d[%a]" t.id
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ' ') Op.pp)
     t.ops
-
-let pp_writeset ppf ws =
-  Format.fprintf ppf "WS(T%d r:%d w:%d)" ws.tx_id (List.length ws.read_items)
-    (List.length ws.write_values)
-
-let equal_writeset a b = a.tx_id = b.tx_id

@@ -42,8 +42,5 @@ type writeset = {
     apply (write values). *)
 
 val to_writeset : t -> writeset
-val ws_write_items : writeset -> int list
 
 val pp : Format.formatter -> t -> unit
-val pp_writeset : Format.formatter -> writeset -> unit
-val equal_writeset : writeset -> writeset -> bool

@@ -131,15 +131,3 @@ let scan ?(verify = true) frames =
               rest)
   in
   go [] [] None frames
-
-let pp_error ppf = function
-  | Torn -> Fmt.string ppf "torn"
-  | Bad_checksum -> Fmt.string ppf "bad-checksum"
-  | Bad_length -> Fmt.string ppf "bad-length"
-
-let pp_repair ppf = function
-  | Torn_tail_truncated -> Fmt.string ppf "torn tail truncated"
-  | Corrupt_record_dropped at ->
-      if at < 0 then Fmt.string ppf "corrupt record dropped"
-      else Fmt.pf ppf "corrupt record dropped (seq %d)" at
-  | Sequence_gap { expected; found } -> Fmt.pf ppf "sequence gap (expected %d, found %d)" expected found

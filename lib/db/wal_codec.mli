@@ -50,6 +50,3 @@ val scan : ?verify:bool -> string list -> record list * repair list
 
 val crc32 : bytes -> pos:int -> len:int -> int
 (** The checksum itself (exposed for tests and benchmarks). *)
-
-val pp_error : Format.formatter -> error -> unit
-val pp_repair : Format.formatter -> repair -> unit

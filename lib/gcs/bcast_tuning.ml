@@ -2,16 +2,14 @@ type dissemination = Broadcast | Ring
 
 type t = {
   batch : int;
-  batch_delay : Sim.Sim_time.span;
   window : int;
   dissemination : dissemination;
 }
 
-let default =
-  { batch = 1; batch_delay = Sim.Sim_time.span_ms 1.; window = max_int; dissemination = Broadcast }
+let default = { batch = 1; window = max_int; dissemination = Broadcast }
 
 let batched ?(batch = 32) ?(window = 32) () = { default with batch; window }
-let ring ?(batch = 1) ?(window = 32) () = { default with batch; window; dissemination = Ring }
+let ring ?(batch = 1) ?(window = 32) () = { batch; window; dissemination = Ring }
 
 let dissemination_to_string = function Broadcast -> "broadcast" | Ring -> "ring"
 

@@ -8,10 +8,9 @@
     engine's throughput ceiling (docs/PERFORMANCE.md):
 
     - [batch]: a leader packs up to this many pending submissions into
-      one consensus instance. Delivery is unbatched in submission order,
+      one consensus instance, and flushes a partial batch 1 ms of sim time
+      after its first value. Delivery is unbatched in submission order,
       so the layers above always see the same per-transaction stream.
-    - [batch_delay]: deterministic sim-time bound on how long a partial
-      batch may wait before it is flushed anyway.
     - [window]: maximum consensus instances in flight at once
       (pipelining). Further batches queue at the leader until a slot
       completes.
@@ -25,22 +24,19 @@ type dissemination = Broadcast | Ring
 
 type t = {
   batch : int;  (** max values per consensus instance (>= 1). *)
-  batch_delay : Sim.Sim_time.span;  (** flush bound for partial batches. *)
   window : int;  (** max in-flight instances (>= 1). *)
   dissemination : dissemination;
 }
 
 val default : t
-(** [{ batch = 1; batch_delay = 1 ms; window = max_int; dissemination =
-    Broadcast }] — the seed engine, event for event. *)
+(** [{ batch = 1; window = max_int; dissemination = Broadcast }] — the
+    seed engine, event for event. *)
 
 val batched : ?batch:int -> ?window:int -> unit -> t
 (** Batching + pipelining preset (default 32/32), broadcast dissemination. *)
 
 val ring : ?batch:int -> ?window:int -> unit -> t
 (** Ring dissemination preset (default batch 1, window 32). *)
-
-val dissemination_to_string : dissemination -> string
 
 val to_string : t -> string
 (** ["seed"] for {!default}, otherwise ["<dissemination> b=<batch> w=<window>"]. *)

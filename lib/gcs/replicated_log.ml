@@ -1,5 +1,8 @@
 module Ballot = Paxos_core.Ballot
 
+(* A leader flushes a partial batch this long after its first value. *)
+let batch_delay = Sim.Sim_time.span_ms 1.
+
 module type VALUE = sig
   type t
 
@@ -330,8 +333,7 @@ module Make (V : VALUE) = struct
     then begin
       m.batch_timer_armed <- true;
       ignore
-        (Sim.Process.after (Net.Endpoint.process m.ep) m.tuning.Bcast_tuning.batch_delay
-           (fun () ->
+        (Sim.Process.after (Net.Endpoint.process m.ep) batch_delay (fun () ->
              m.batch_timer_armed <- false;
              match m.leadership with
              | Leading l -> flush_partial m l

@@ -656,6 +656,15 @@ let crash_all sys =
     System.crash sys i
   done
 
+(* The remotes S1 and S2 crash 2 ms after submission, while their own log
+   flushes are still in flight. *)
+let crash_remotes sys =
+  List.iter
+    (fun i ->
+      ignore
+        (Sim.Engine.schedule (System.engine sys) ~delay:(ms 2.) (fun () -> System.crash sys i)))
+    [ 1; 2 ]
+
 let nop (_ : System.t) = ()
 
 let verdict (acked, report) =
@@ -686,10 +695,7 @@ let group_failure_cell ?seed technique =
      and stays down while the others reform. *)
   match technique with
   | System.Dsm Dsm_replica.Group_one_safe_mode ->
-    scenario ?seed technique
-      ~pre:(fun sys ->
-        Crash_injector.crash_at sys ~after:(ms 2.) 1;
-        Crash_injector.crash_at sys ~after:(ms 2.) 2)
+    scenario ?seed technique ~pre:crash_remotes
       ~at_ack:(fun sys -> System.crash sys 0)
       ~later:(fun sys ->
         System.recover sys 1;
@@ -796,11 +802,7 @@ let table3 ?seed () =
      the delegate survives; the recovering majority finds the live delegate
      and reforms from its state. *)
   let group_fails_sd_alive technique =
-    scenario ?seed technique
-      ~pre:(fun sys ->
-        Crash_injector.crash_at sys ~after:(ms 2.) 1;
-        Crash_injector.crash_at sys ~after:(ms 2.) 2)
-      ~at_ack:nop
+    scenario ?seed technique ~pre:crash_remotes ~at_ack:nop
       ~later:(fun sys ->
         System.recover sys 1;
         System.recover sys 2)
@@ -837,14 +839,13 @@ let table3 ?seed () =
      delegate recovers first and seeds the reformed group from its own log:
      group-1-safe keeps the transaction, group-safe cannot. *)
   let delegate_recovers_first technique =
-    scenario ?seed technique
-      ~pre:(fun sys ->
-        Crash_injector.crash_at sys ~after:(ms 2.) 1;
-        Crash_injector.crash_at sys ~after:(ms 2.) 2)
+    scenario ?seed technique ~pre:crash_remotes
       ~at_ack:(fun sys -> System.crash sys 0)
       ~later:(fun sys ->
         System.recover sys 0;
-        Crash_injector.recover_at sys ~after:(ms 100.) 1)
+        ignore
+          (Sim.Engine.schedule (System.engine sys) ~delay:(ms 100.) (fun () ->
+               System.recover sys 1)))
   in
   let sub =
     List.map2
@@ -885,7 +886,7 @@ let fig5_schedule ?(seed = 1L) technique =
       (* Let the ordering protocol's decision reach every replica — Fig. 5
          has m delivered on all servers — but crash before any of the
          asynchronous log flushes (>= 4 ms) can complete. *)
-      Crash_injector.after sys (ms 1.5) (fun () -> crash_all sys))
+      ignore (Sim.Engine.schedule (System.engine sys) ~delay:(ms 1.5) (fun () -> crash_all sys)))
     write_only_tx;
   System.run_for sys (sec 2.);
   for i = 0 to 2 do
@@ -1432,60 +1433,7 @@ let ablation_uniformity ?(seed = 1L) () =
   Report.note "uniform agreement is what lets the group carry durability: without";
   Report.note "it, group-safety costs one crash, not a group failure."
 
-(* ---- Schedule exploration (the checking subsystem's entry point) ---- *)
-
-let explore ?(seed = 42L) ?(budget = 500) () =
-  Report.section "Schedule exploration: Fig. 5 rediscovery and loss-freedom certification";
-  Report.note "each configuration replays seeded crash/recover/delay schedules and";
-  Report.note "asks the safety oracle after full recovery; failures are shrunk to a";
-  Report.note "minimal counterexample (see docs/CHECKING.md).";
-  let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
-  (* Classical atomic broadcast must lose: the explorer has to rediscover
-     the Fig. 5 whole-group crash and shrink it to a handful of events. *)
-  let r_classical =
-    E.explore ~seed ~budget
-      (E.default_config ~predicate:E.Any_loss (System.Dsm Dsm_replica.Group_safe_mode))
-  in
-  show r_classical;
-  let fig5_found =
-    match r_classical.E.counterexample with
-    | Some c -> Check.Schedule.event_count c.E.shrunk <= 6
-    | None -> false
-  in
-  (* The end-to-end and 2PC configurations must not lose under any
-     schedule at all. *)
-  let certify technique =
-    let r = E.explore ~seed ~budget (E.default_config ~predicate:E.Any_loss technique) in
-    show r;
-    Option.is_none r.E.counterexample
-  in
-  let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
-  let twopc_ok = certify System.Two_pc in
-  (* And no technique may ever lose in a way its advertised level forbids
-     (Tables 2/3). *)
-  let sweep_budget = Int.max 1 (budget / 4) in
-  let violation_ok =
-    List.fold_left
-      (fun ok technique ->
-        let r =
-          E.explore ~seed ~budget:sweep_budget (E.default_config ~predicate:E.Violation technique)
-        in
-        show r;
-        ok && Option.is_none r.E.counterexample)
-      true System.all_techniques
-  in
-  let verdict ok = if ok then "ok" else "FAILED" in
-  Report.table ~header:[ "check"; "verdict" ]
-    [
-      [ "classical abcast: Fig. 5 loss rediscovered, shrunk to <= 6 events"; verdict fig5_found ];
-      [ "e2e broadcast (2-safe): no loss in any explored schedule"; verdict e2e_ok ];
-      [ "eager 2PC: no loss in any explored schedule"; verdict twopc_ok ];
-      [ "all techniques: no loss forbidden by the advertised level"; verdict violation_ok ];
-    ];
-  fig5_found && e2e_ok && twopc_ok && violation_ok
-
-(* ---- Counterexample artifacts ---- *)
+(* ---- Certification: every checker tier is data for one function ---- *)
 
 (* An artifact is a corpus entry: the technique directive and the shrunk
    schedule in Check.Schedule.serialize form, then the report and the full
@@ -1509,104 +1457,141 @@ let write_counterexample ~path ~what (r : Check.Explorer.result) =
           (comment c.Check.Explorer.outcome.Check.Explorer.trace));
     Report.note (Printf.sprintf "%s written to %s" what path)
 
+(* Runs one checker tier. A check is its verdict-table label and a thunk
+   that prints its own report and says whether it passed. Every check
+   runs, in order — a failed one does not stop the rest — and one table
+   lists them all. *)
+let certification ~title ~notes checks =
+  Report.section title;
+  List.iter Report.note notes;
+  let verdicts = List.map (fun (label, check) -> (label, check ())) checks in
+  Report.table ~header:[ "check"; "verdict" ]
+    (List.map (fun (label, ok) -> [ label; (if ok then "ok" else "FAILED") ]) verdicts);
+  List.for_all snd verdicts
+
+(* One exploration: prints its report and writes its counterexample, if
+   it found one, to the [(path, what)] artifact. *)
+let explored ?artifact ?max_exhaustive_events ?max_random_events ~seed ~budget config =
+  let r = Check.Explorer.explore ?max_exhaustive_events ?max_random_events ~seed ~budget config in
+  Format.printf "%s@.@." (Check.Explorer.render_result r);
+  Option.iter (fun (path, what) -> write_counterexample ~path ~what r) artifact;
+  r
+
+let clean (r : Check.Explorer.result) = Option.is_none r.Check.Explorer.counterexample
+
+(* Oracle mutations re-break a protocol bug on every server. *)
+let break_all f sys =
+  for i = 0 to System.n_servers sys - 1 do
+    f sys i
+  done
+
+let group_safe = System.Dsm Dsm_replica.Group_safe_mode
+let two_safe = System.Dsm Dsm_replica.Two_safe_mode
+
+(* ---- Schedule exploration (the checking subsystem's entry point) ---- *)
+
+let explore ?(seed = 42L) ?(budget = 500) () =
+  let module E = Check.Explorer in
+  let loss technique = E.default_config ~predicate:E.Any_loss technique in
+  (* The end-to-end and 2PC configurations must not lose under any
+     schedule at all. *)
+  let certified technique () = clean (explored ~seed ~budget (loss technique)) in
+  certification
+    ~title:"Schedule exploration: Fig. 5 rediscovery and loss-freedom certification"
+    ~notes:
+      [
+        "each configuration replays seeded crash/recover/delay schedules and";
+        "asks the safety oracle after full recovery; failures are shrunk to a";
+        "minimal counterexample (see docs/CHECKING.md).";
+      ]
+    [
+      (* Classical atomic broadcast must lose: the explorer has to
+         rediscover the Fig. 5 whole-group crash and shrink it to a
+         handful of events. *)
+      ( "classical abcast: Fig. 5 loss rediscovered, shrunk to <= 6 events",
+        fun () ->
+          match (explored ~seed ~budget (loss group_safe)).E.counterexample with
+          | Some c -> Check.Schedule.event_count c.E.shrunk <= 6
+          | None -> false );
+      ("e2e broadcast (2-safe): no loss in any explored schedule", certified two_safe);
+      ("eager 2PC: no loss in any explored schedule", certified System.Two_pc);
+      (* And no technique may ever lose in a way its advertised level
+         forbids (Tables 2/3). *)
+      ( "all techniques: no loss forbidden by the advertised level",
+        fun () ->
+          List.map
+            (fun technique ->
+              clean
+                (explored ~seed ~budget:(Int.max 1 (budget / 4))
+                   (E.default_config ~predicate:E.Violation technique)))
+            System.all_techniques
+          |> List.for_all Fun.id );
+    ]
+
 (* ---- Nemesis: network faults + healing convergence ---- *)
 
 let nemesis ?(seed = 42L) ?(budget = 500) ?(counterexample_path = "nemesis-counterexample.txt") ()
     =
-  Report.section "Nemesis: partition/loss/duplication storms with healing convergence";
-  Report.note "each storm mixes crashes with network faults (a minority partition and";
-  Report.note "heal, a loss window, duplicated deliveries); after the horizon every";
-  Report.note "fault heals, and the convergence oracle demands every acknowledged";
-  Report.note "update on every serving server plus a committing probe (docs/CHECKING.md).";
   let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
   (* All of [budget] goes to seeded storms (exhaustive single-fault windows
      are covered by the unit tests); identical seeds replay identical
      storms, so a CI failure reproduces locally byte for byte. *)
-  let certify ?tuning technique =
-    let cfg = E.default_config ~predicate:E.Any_loss ~nemesis:true ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_exhaustive_events:0 ~max_random_events:3 cfg in
-    show r;
-    write_counterexample ~path:counterexample_path ~what:"shrunk counterexample trace" r;
-    Option.is_none r.E.counterexample
+  let certified ?tuning technique () =
+    clean
+      (explored ~artifact:(counterexample_path, "shrunk counterexample trace")
+         ~max_exhaustive_events:0 ~max_random_events:3 ~seed ~budget
+         (E.default_config ~predicate:E.Any_loss ~nemesis:true ?tuning technique))
   in
-  let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
-  let twopc_ok = certify System.Two_pc in
-  (* The tuned broadcast engines must survive the same storms: batched
-     in-flight Accepts across crashes and partitions (the PR 2 retransmit
-     interaction), and ring circulations cut mid-way by the nemesis. *)
-  let e2e_batched_ok =
-    certify ~tuning:(Gcs.Bcast_tuning.batched ()) (System.Dsm Dsm_replica.Two_safe_mode)
-  in
-  let e2e_ring_ok =
-    certify ~tuning:(Gcs.Bcast_tuning.ring ()) (System.Dsm Dsm_replica.Two_safe_mode)
-  in
-  (* The directed scenario: a minority partition must stall — acknowledge
-     and apply nothing while cut off — then catch up after the heal. *)
-  let stall =
-    E.minority_stall (E.default_config ~nemesis:true (System.Dsm Dsm_replica.Group_safe_mode))
-  in
-  Format.printf "%a@.@." E.pp_stall stall;
-  let verdict ok = if ok then "ok" else "FAILED" in
-  Report.table ~header:[ "check"; "verdict" ]
+  certification ~title:"Nemesis: partition/loss/duplication storms with healing convergence"
+    ~notes:
+      [
+        "each storm mixes crashes with network faults (a minority partition and";
+        "heal, a loss window, duplicated deliveries); after the horizon every";
+        "fault heals, and the convergence oracle demands every acknowledged";
+        "update on every serving server plus a committing probe (docs/CHECKING.md).";
+      ]
     [
-      [
-        Printf.sprintf "e2e broadcast (2-safe): %d nemesis storms loss-free and convergent" budget;
-        verdict e2e_ok;
-      ];
-      [
-        Printf.sprintf "eager 2PC: %d nemesis storms loss-free and convergent" budget;
-        verdict twopc_ok;
-      ];
-      [
-        Printf.sprintf "2-safe, batched+pipelined engine: %d storms loss-free and convergent"
-          budget;
-        verdict e2e_batched_ok;
-      ];
-      [
-        Printf.sprintf "2-safe, ring engine: %d storms loss-free and convergent" budget;
-        verdict e2e_ring_ok;
-      ];
-      [
-        "group-safe minority partition: stalled, no divergence, converged after heal";
-        verdict stall.E.ok;
-      ];
-    ];
-  e2e_ok && twopc_ok && e2e_batched_ok && e2e_ring_ok && stall.E.ok
+      ( Printf.sprintf "e2e broadcast (2-safe): %d nemesis storms loss-free and convergent" budget,
+        certified two_safe );
+      ( Printf.sprintf "eager 2PC: %d nemesis storms loss-free and convergent" budget,
+        certified System.Two_pc );
+      (* The tuned broadcast engines must survive the same storms: batched
+         in-flight Accepts across crashes and partitions (the PR 2
+         retransmit interaction), and ring circulations cut mid-way by the
+         nemesis. *)
+      ( Printf.sprintf "2-safe, batched+pipelined engine: %d storms loss-free and convergent"
+          budget,
+        certified ~tuning:(Gcs.Bcast_tuning.batched ()) two_safe );
+      ( Printf.sprintf "2-safe, ring engine: %d storms loss-free and convergent" budget,
+        certified ~tuning:(Gcs.Bcast_tuning.ring ()) two_safe );
+      (* The directed scenario: a minority partition must stall —
+         acknowledge and apply nothing while cut off — then catch up after
+         the heal. *)
+      ( "group-safe minority partition: stalled, no divergence, converged after heal",
+        fun () ->
+          let stall = E.minority_stall (E.default_config ~nemesis:true group_safe) in
+          Format.printf "%a@.@." E.pp_stall stall;
+          stall.E.ok );
+    ]
 
 (* ---- Liveness: fair storms, eventual decision, leader takeover ---- *)
 
 let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
     ?(counterexample_path = "liveness-counterexample.txt") () =
-  Report.section "Liveness: fairness-constrained storms with the eventual-decision oracle";
-  Report.note "each storm draws only fair schedules (every crash recovered, every";
-  Report.note "partition healed, every loss window closed by the horizon); after";
-  Report.note "quiescence the liveness oracle demands a decision for every owed";
-  Report.note "submission and a re-elected leader, on top of the safety and";
-  Report.note "convergence oracles (docs/CHECKING.md, 'Liveness').";
   let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
+  let storms ?artifact ?tuning ?mutate technique =
+    explored ?artifact ~max_exhaustive_events:0 ~max_random_events:3 ~seed ~budget
+      (E.default_config ~liveness:true ?max_decision_us ?tuning ?mutate technique)
+  in
   (* Mutation rediscovery: re-break each of PR 2's protocol bugs through
      the oracle hooks and demand that the fair storms find it again and
      shrink it to a schedule that is still fair — a liveness check that
      cannot catch a known wedged-forever bug is not checking anything. *)
-  let break_all f sys =
-    for i = 0 to System.n_servers sys - 1 do
-      f sys i
-    done
-  in
-  (match max_decision_us with
-  | None -> ()
-  | Some b ->
-    Report.note
-      (Printf.sprintf "decision bound: %.1f ms — decided-but-late counts as a failure" (float_of_int b /. 1000.)));
-  let rediscover label technique mutate =
-    let cfg = E.default_config ~liveness:true ?max_decision_us ~mutate technique in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
+  let rediscovered label technique mutate () =
+    let r = storms ~mutate:(break_all mutate) technique in
     match r.E.counterexample with
     | Some c ->
-      let fair = Check.Schedule.fair ~horizon:cfg.E.horizon c.E.shrunk in
+      let fair = Check.Schedule.fair ~horizon:r.E.config.E.horizon c.E.shrunk in
       if not fair then
         Report.note (Printf.sprintf "%s: counterexample shrunk to an UNFAIR schedule" label);
       fair
@@ -1614,190 +1599,141 @@ let liveness ?(seed = 42L) ?(budget = 500) ?max_decision_us
       Report.note (Printf.sprintf "%s: mutation NOT rediscovered in %d storms" label budget);
       false
   in
-  let mut_accept_ok =
-    rediscover "no-accept-retransmit mutation"
-      (System.Dsm Dsm_replica.Two_safe_mode)
-      (break_all System.break_no_accept_retransmit)
-  in
-  let mut_2pc_ok =
-    rediscover "2PC early-decision mutation" System.Two_pc
-      (break_all System.break_early_decision)
-  in
   (* The fixed tree must certify clean over the full storm budget on the
      loss-free configurations (the group-safe classical pair legitimately
      loses on whole-group crashes, which fair storms do generate — its
      liveness evidence comes from the takeover scenario below). *)
-  let certify ?tuning technique =
-    let cfg = E.default_config ~liveness:true ?max_decision_us ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
-    write_counterexample ~path:counterexample_path ~what:"shrunk liveness counterexample" r;
-    Option.is_none r.E.counterexample
-  in
-  let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
-  let twopc_ok = certify System.Two_pc in
-  (* The batched engine holds several submissions inside one in-flight
-     instance: a leader crash or dropped Accept now wedges a whole batch,
-     so the eventual-decision oracle re-proves the retransmit path for it. *)
-  let e2e_batched_ok =
-    certify ~tuning:(Gcs.Bcast_tuning.batched ()) (System.Dsm Dsm_replica.Two_safe_mode)
+  let certified ?tuning technique () =
+    clean
+      (storms ~artifact:(counterexample_path, "shrunk liveness counterexample") ?tuning technique)
   in
   (* The takeover family: repeatedly kill the ordering leader mid-broadcast
      and demand a successor that re-drives the dead leader's in-flight
      slots — one kill at a time, so the group never fails and even the
      classical (group-safe) stack owes full liveness. *)
-  let takeover ?tuning label technique =
+  let takeover ?tuning label technique () =
     let t = E.leader_takeover (E.default_config ~liveness:true ?tuning technique) in
     Format.printf "%s takeovers:@.%a@.@." label E.pp_takeover t;
     t.E.ok
   in
-  let takeover_gs_ok = takeover "group-safe" (System.Dsm Dsm_replica.Group_safe_mode) in
-  let takeover_e2e_ok = takeover "2-safe" (System.Dsm Dsm_replica.Two_safe_mode) in
-  (* Ring dissemination's coordinator is the leader: killing it mid-ring
-     leaves a circulation with no home, which the successor must re-drive. *)
-  let takeover_ring_ok =
-    takeover ~tuning:(Gcs.Bcast_tuning.ring ()) "group-safe (ring engine)"
-      (System.Dsm Dsm_replica.Group_safe_mode)
-  in
-  let verdict ok = if ok then "ok" else "FAILED" in
-  Report.table ~header:[ "check"; "verdict" ]
+  certification ~title:"Liveness: fairness-constrained storms with the eventual-decision oracle"
+    ~notes:
+      ([
+         "each storm draws only fair schedules (every crash recovered, every";
+         "partition healed, every loss window closed by the horizon); after";
+         "quiescence the liveness oracle demands a decision for every owed";
+         "submission and a re-elected leader, on top of the safety and";
+         "convergence oracles (docs/CHECKING.md, 'Liveness').";
+       ]
+      @
+      match max_decision_us with
+      | None -> []
+      | Some b ->
+        [
+          Printf.sprintf "decision bound: %.1f ms — decided-but-late counts as a failure"
+            (float_of_int b /. 1000.);
+        ])
     [
-      [
-        "mutation: leader never retransmits Accepts -> rediscovered, fair shrink";
-        verdict mut_accept_ok;
-      ];
-      [
-        "mutation: 2PC answers decisions before durable -> rediscovered, fair shrink";
-        verdict mut_2pc_ok;
-      ];
-      [
-        Printf.sprintf "e2e broadcast (2-safe): %d fair storms decided and live" budget;
-        verdict e2e_ok;
-      ];
-      [
-        Printf.sprintf "eager 2PC: %d fair storms decided and live" budget;
-        verdict twopc_ok;
-      ];
-      [
-        Printf.sprintf "2-safe, batched+pipelined engine: %d fair storms decided and live"
-          budget;
-        verdict e2e_batched_ok;
-      ];
-      [ "group-safe: repeated leader kills handed over, all decided"; verdict takeover_gs_ok ];
-      [ "2-safe: repeated leader kills handed over, all decided"; verdict takeover_e2e_ok ];
-      [
-        "group-safe ring engine: repeated leader kills handed over, all decided";
-        verdict takeover_ring_ok;
-      ];
-    ];
-  mut_accept_ok && mut_2pc_ok && e2e_ok && twopc_ok && e2e_batched_ok && takeover_gs_ok
-  && takeover_e2e_ok && takeover_ring_ok
+      ( "mutation: leader never retransmits Accepts -> rediscovered, fair shrink",
+        rediscovered "no-accept-retransmit mutation" two_safe System.break_no_accept_retransmit );
+      ( "mutation: 2PC answers decisions before durable -> rediscovered, fair shrink",
+        rediscovered "2PC early-decision mutation" System.Two_pc System.break_early_decision );
+      ( Printf.sprintf "e2e broadcast (2-safe): %d fair storms decided and live" budget,
+        certified two_safe );
+      ( Printf.sprintf "eager 2PC: %d fair storms decided and live" budget,
+        certified System.Two_pc );
+      (* The batched engine holds several submissions inside one in-flight
+         instance: a leader crash or dropped Accept now wedges a whole
+         batch, so the eventual-decision oracle re-proves the retransmit
+         path for it. *)
+      ( Printf.sprintf "2-safe, batched+pipelined engine: %d fair storms decided and live"
+          budget,
+        certified ~tuning:(Gcs.Bcast_tuning.batched ()) two_safe );
+      ( "group-safe: repeated leader kills handed over, all decided",
+        takeover "group-safe" group_safe );
+      ("2-safe: repeated leader kills handed over, all decided", takeover "2-safe" two_safe);
+      (* Ring dissemination's coordinator is the leader: killing it
+         mid-ring leaves a circulation with no home, which the successor
+         must re-drive. *)
+      ( "group-safe ring engine: repeated leader kills handed over, all decided",
+        takeover ~tuning:(Gcs.Bcast_tuning.ring ()) "group-safe (ring engine)" group_safe );
+    ]
 
 (* ---- Storage faults: torn writes, lying fsyncs, the durability oracle ---- *)
 
 let storage ?(seed = 42L) ?(budget = 500)
     ?(counterexample_path = "storage-counterexample.txt") () =
-  Report.section "Storage faults: torn writes, lying fsyncs, and the durability oracle";
-  Report.note "each storm mixes crashes with disk faults (torn tail writes, lying";
-  Report.note "fsyncs — sometimes on every replica at once — record corruption,";
-  Report.note "slow-disk and disk-full windows); after full recovery the durability";
-  Report.note "oracle checks that every loss was permitted by the advertised level or";
-  Report.note "by total storage betrayal, and that every injected torn tail was";
-  Report.note "repaired and every corruption detected (docs/CHECKING.md).";
   let module E = Check.Explorer in
-  let show r = Format.printf "%s@.@." (E.render_result r) in
+  let storms ?artifact ?tuning ?mutate technique =
+    explored ?artifact ~max_exhaustive_events:0 ~max_random_events:3 ~seed ~budget
+      (E.default_config ~storage:true ?tuning ?mutate technique)
+  in
   (* The storm certification: the group-safe classical stack must come out
      clean — it may lose, but only where all replicas lost the record —
      and so must the 2-safe and 2PC stacks, whose only permitted losses
      are total-betrayal ones. *)
-  let certify ?tuning technique =
-    let cfg = E.default_config ~storage:true ?tuning technique in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
-    write_counterexample ~path:counterexample_path ~what:"shrunk storage counterexample" r;
-    Option.is_none r.E.counterexample
+  let certified ?tuning technique () =
+    clean
+      (storms ~artifact:(counterexample_path, "shrunk storage counterexample") ?tuning technique)
   in
-  let gs_ok = certify (System.Dsm Dsm_replica.Group_safe_mode) in
-  let e2e_ok = certify (System.Dsm Dsm_replica.Two_safe_mode) in
-  let twopc_ok = certify System.Two_pc in
-  (* A batched engine multiplies what one torn or lying WAL record can
-     cover — a whole batch of acknowledged transactions — so the
-     durability oracle re-certifies the batched stack under the same
-     disk-fault storms. *)
-  let gs_batched_ok =
-    certify ~tuning:(Gcs.Bcast_tuning.batched ()) (System.Dsm Dsm_replica.Group_safe_mode)
-  in
-  (* Mutation rediscovery: un-harden the WAL (recovery skips checksums) and
-     demand the storms notice — a corruption arm whose recovery scan
-     detects nothing fails the oracle's detected = scanned bookkeeping. *)
-  let break_all f sys =
-    for i = 0 to System.n_servers sys - 1 do
-      f sys i
-    done
-  in
-  let mut_checksum_ok =
-    let cfg =
-      E.default_config ~storage:true
-        ~mutate:(break_all System.break_skip_checksum)
-        (System.Dsm Dsm_replica.Group_safe_mode)
-    in
-    let r = E.explore ~seed ~budget ~max_random_events:3 cfg in
-    show r;
-    match r.E.counterexample with
-    | Some _ -> true
-    | None ->
-      Report.note
-        (Printf.sprintf "skip-checksum mutation NOT rediscovered in %d storms" budget);
-      false
-  in
-  (* Directed: tear the leader's WAL tail every round; recovery must
-     repair every tear and say so in its repair report. *)
-  let torn =
-    E.torn_leader_tail (E.default_config ~storage:true (System.Dsm Dsm_replica.Group_safe_mode))
-  in
-  Format.printf "torn leader tail (group-safe):@.%a@.@." E.pp_torn torn;
   (* Directed: every disk lies, then the whole group crashes. Every level
      loses the acked transactions; the oracle must report the loss and
      classify it as permitted — by the delegate crash at 1-safe (the
      paper's flagged-but-allowed window), the group failure at
      group-safe, and only the total betrayal at 2-safe. *)
-  let lie technique =
+  let lie technique () =
     let l = E.fsync_lie_group_crash (E.default_config ~storage:true technique) in
     Format.printf "fsync-lie group crash (%s):@.%a@.@." (System.technique_name technique)
       E.pp_lie l;
-    l
+    l.E.f_ok
   in
-  let lie_one = lie (System.Lazy Lazy_replica.One_safe_mode) in
-  let lie_gs = lie (System.Dsm Dsm_replica.Group_safe_mode) in
-  let lie_e2e = lie (System.Dsm Dsm_replica.Two_safe_mode) in
-  let verdict ok = if ok then "ok" else "FAILED" in
-  Report.table ~header:[ "check"; "verdict" ]
+  certification ~title:"Storage faults: torn writes, lying fsyncs, and the durability oracle"
+    ~notes:
+      [
+        "each storm mixes crashes with disk faults (torn tail writes, lying";
+        "fsyncs — sometimes on every replica at once — record corruption,";
+        "slow-disk and disk-full windows); after full recovery the durability";
+        "oracle checks that every loss was permitted by the advertised level or";
+        "by total storage betrayal, and that every injected torn tail was";
+        "repaired and every corruption detected (docs/CHECKING.md).";
+      ]
     [
-      [
-        Printf.sprintf "classical abcast (group-safe): %d storage storms certified clean" budget;
-        verdict gs_ok;
-      ];
-      [
-        Printf.sprintf "e2e broadcast (2-safe): %d storage storms certified clean" budget;
-        verdict e2e_ok;
-      ];
-      [
-        Printf.sprintf "eager 2PC: %d storage storms certified clean" budget;
-        verdict twopc_ok;
-      ];
-      [
-        Printf.sprintf "group-safe, batched+pipelined engine: %d storms certified clean"
-          budget;
-        verdict gs_batched_ok;
-      ];
-      [ "mutation: recovery skips checksums -> rediscovered"; verdict mut_checksum_ok ];
-      [ "group-safe: every torn leader tail repaired on recovery"; verdict torn.E.t_ok ];
-      [ "1-safe: fsync-lie group crash loses an acked tx, flagged-but-allowed"; verdict lie_one.E.f_ok ];
-      [ "group-safe: fsync-lie group crash loss permitted by group failure"; verdict lie_gs.E.f_ok ];
-      [ "2-safe: fsync-lie group crash loss permitted only by total betrayal"; verdict lie_e2e.E.f_ok ];
-    ];
-  gs_ok && e2e_ok && twopc_ok && gs_batched_ok && mut_checksum_ok && torn.E.t_ok
-  && lie_one.E.f_ok && lie_gs.E.f_ok && lie_e2e.E.f_ok
+      ( Printf.sprintf "classical abcast (group-safe): %d storage storms certified clean" budget,
+        certified group_safe );
+      ( Printf.sprintf "e2e broadcast (2-safe): %d storage storms certified clean" budget,
+        certified two_safe );
+      ( Printf.sprintf "eager 2PC: %d storage storms certified clean" budget,
+        certified System.Two_pc );
+      (* A batched engine multiplies what one torn or lying WAL record can
+         cover — a whole batch of acknowledged transactions — so the
+         durability oracle re-certifies the batched stack under the same
+         disk-fault storms. *)
+      ( Printf.sprintf "group-safe, batched+pipelined engine: %d storms certified clean" budget,
+        certified ~tuning:(Gcs.Bcast_tuning.batched ()) group_safe );
+      (* Mutation rediscovery: un-harden the WAL (recovery skips checksums)
+         and demand the storms notice — a corruption arm whose recovery
+         scan detects nothing fails the oracle's detected = scanned
+         bookkeeping. *)
+      ( "mutation: recovery skips checksums -> rediscovered",
+        fun () ->
+          let r = storms ~mutate:(break_all System.break_skip_checksum) group_safe in
+          let found = not (clean r) in
+          if not found then
+            Report.note
+              (Printf.sprintf "skip-checksum mutation NOT rediscovered in %d storms" budget);
+          found );
+      (* Directed: tear the leader's WAL tail every round; recovery must
+         repair every tear and say so in its repair report. *)
+      ( "group-safe: every torn leader tail repaired on recovery",
+        fun () ->
+          let torn = E.torn_leader_tail (E.default_config ~storage:true group_safe) in
+          Format.printf "torn leader tail (group-safe):@.%a@.@." E.pp_torn torn;
+          torn.E.t_ok );
+      ( "1-safe: fsync-lie group crash loses an acked tx, flagged-but-allowed",
+        lie (System.Lazy Lazy_replica.One_safe_mode) );
+      ("group-safe: fsync-lie group crash loss permitted by group failure", lie group_safe);
+      ("2-safe: fsync-lie group crash loss permitted only by total betrayal", lie two_safe);
+    ]
 
 (* ---- Shard-out study (docs/SHARDING.md) ---- *)
 
@@ -1863,32 +1799,29 @@ let shardout ?(seed = 1L) ?(counts = default_shard_counts) ?(load_tps = 320.)
 (* ---- Sharded storm certification ---- *)
 
 let shard_storms ?(seed = 42L) ?(budget = 500) ?(shards = 2) () =
-  Report.section "Sharded storms: per-shard oracles + cross-shard 2PC audit";
-  Report.note
-    (Printf.sprintf
-       "%d-shard deployments, 3 servers per shard; every second transaction cross-shard;" shards);
-  Report.note
-    "each storm mixes crashes, whole-shard isolations, cross-group cuts and loss windows;";
-  Report.note
-    "verdict per run: every shard durability-clean and convergent, every committed";
-  Report.note "cross-shard transaction atomic, losses only where the level permits them.";
-  let ok = ref true in
-  List.iter
-    (fun technique ->
-      let cfg = Shard.Shard_check.default_config ~shards ~cross_every:2 technique in
-      let r = Shard.Shard_check.storm ~seed ~budget cfg in
-      Printf.printf "%s:\n%s\n%!" (System.technique_name technique)
-        (Shard.Shard_check.render_result r);
-      if r.Shard.Shard_check.counterexample <> None then ok := false)
-    [ System.Dsm Dsm_replica.Two_safe_mode; System.Two_pc ];
-  Report.table ~header:[ "check"; "verdict" ]
-    [
+  certification ~title:"Sharded storms: per-shard oracles + cross-shard 2PC audit"
+    ~notes:
       [
-        Printf.sprintf "2-safe + eager 2PC: %d sharded storms each certified clean" budget;
-        (if !ok then "ok" else "FAILED");
-      ];
-    ];
-  !ok
+        Printf.sprintf
+          "%d-shard deployments, 3 servers per shard; every second transaction cross-shard;"
+          shards;
+        "each storm mixes crashes, whole-shard isolations, cross-group cuts and loss windows;";
+        "verdict per run: every shard durability-clean and convergent, every committed";
+        "cross-shard transaction atomic, losses only where the level permits them.";
+      ]
+    [
+      ( Printf.sprintf "2-safe + eager 2PC: %d sharded storms each certified clean" budget,
+        fun () ->
+          List.map
+            (fun technique ->
+              let cfg = Shard.Shard_check.default_config ~shards ~cross_every:2 technique in
+              let r = Shard.Shard_check.storm ~seed ~budget cfg in
+              Printf.printf "%s:\n%s\n%!" (System.technique_name technique)
+                (Shard.Shard_check.render_result r);
+              Option.is_none r.Shard.Shard_check.counterexample)
+            [ two_safe; System.Two_pc ]
+          |> List.for_all Fun.id );
+    ]
 
 (* Wall clock and simulated events per experiment section: recorded into
    [Report]'s timing registry so the benchmark trajectory (BENCH_*.json)

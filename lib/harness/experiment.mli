@@ -101,23 +101,17 @@ val fig9 :
     on that many Table 4 groups ([cross_fraction] of submissions
     cross-shard); trace capture is unsharded-only and ignored. *)
 
-val log_ceiling : ?n:int -> ?burst:int -> Gcs.Bcast_tuning.t -> float
-(** The ordering layer's raw throughput ceiling for one engine tuning: an
-    [n]-member (default 9) bare volatile replicated-log cluster on the LAN
-    network model is saturated with a [burst] (default 400) of values
-    proposed at the leader in one instant; the result is decided values
-    per simulated second from the burst to the last decision at the
-    leader, or [0.] if the burst never fully decided. Deterministic —
-    fixed internal seed. *)
-
 val default_ceiling_loads : float list
 (** The extended Fig. 9 load axis: 40..2240 tps, far past the ~38 tps
     crossover of the paper's hardware. *)
 
 val broadcast_ceiling : ?seed:int64 -> ?loads:float list -> ?measure_s:float -> unit -> unit
-(** The broadcast-engine ceiling study (docs/PERFORMANCE.md): first
-    {!log_ceiling} for the seed, batched, ring and ring+batched engines
-    (the engine-level speedups); then the full system on Table 4 with
+(** The broadcast-engine ceiling study (docs/PERFORMANCE.md): first the
+    ordering layer's raw ceiling for the seed, batched, ring and
+    ring+batched engines — decided values per simulated second when a
+    bare 9-member volatile replicated log on the LAN model takes a
+    400-value burst at its leader (the engine-level speedups); then the
+    full system on Table 4 with
     storage 10x faster than the paper's 2004 disks (so the ordering layer,
     not the ordered-apply pipeline, is the binding resource) swept over
     [loads] (default {!default_ceiling_loads}) for group-safe on the seed,

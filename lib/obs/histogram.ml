@@ -22,7 +22,6 @@ type t = {
 
 let sub_bits = 4
 let sub_buckets = 1 lsl sub_bits (* 16 *)
-let relative_error = 1. /. float_of_int sub_buckets
 
 let create () = { counts = [||]; count = 0; sum = 0; min_v = max_int; max_v = -1 }
 

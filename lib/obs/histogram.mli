@@ -3,7 +3,7 @@
     Designed for simulated-time durations in microseconds. Buckets are
     exact below 16; above that each power-of-two octave is split into 16
     sub-buckets, bounding the relative width of any bucket — and hence
-    of any quantile bracket — by {!relative_error}. Merging is a
+    of any quantile bracket — by 1/16. Merging is a
     bucket-wise sum: exact, associative and commutative, so per-domain
     histograms can be folded in any grouping with identical results. *)
 
@@ -30,14 +30,11 @@ val mean : t -> float
 (** [quantile_bounds t q] returns an inclusive [(lo, hi)] bracket that is
     guaranteed to contain the true [q]-quantile of the recorded samples
     (rank [max 1 (ceil (q * count))] of the sorted multiset), with
-    [hi - lo] bounded by one bucket's width ([relative_error] of [lo]).
+    [hi - lo] bounded by one bucket's width: [hi - lo <= lo / 16] (exact
+    buckets below 16).
     @raise Invalid_argument if the histogram is empty or [q] is outside
     [\[0, 1\]]. *)
 val quantile_bounds : t -> float -> int * int
-
-(** Upper bound on the width of a quantile bracket relative to its lower
-    bound: [hi - lo <= relative_error * lo] (exact buckets below 16). *)
-val relative_error : float
 
 (** [merge_into ~into src] adds every bucket of [src] into [into].
     [src] is unchanged. *)

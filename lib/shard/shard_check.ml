@@ -14,7 +14,6 @@ type config = {
   horizon : St.span;
   quiescence : St.span;
   system_seed : int64;
-  link : St.span;
 }
 
 (* The unsharded explorer's small-system shape and timing, with a key
@@ -32,7 +31,6 @@ let default_config ?(shards = 2) ?(cross_every = 2) technique =
     horizon = e.E.horizon;
     quiescence = e.E.quiescence;
     system_seed = e.E.system_seed;
-    link = Sharded_system.default_link;
   }
 
 type shard_verdict = {
@@ -102,7 +100,7 @@ let run config schedule =
     schedule.Schedule.events;
   let scfg =
     Sharded_system.config ~seed:config.system_seed ~fd_config:config.fd ~trace_enabled:false
-      ~link:config.link ~shards ~params:config.params config.technique
+      ~shards ~params:config.params config.technique
   in
   let t = Sharded_system.create scfg in
   let map = Sharded_system.map t in

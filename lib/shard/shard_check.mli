@@ -40,7 +40,6 @@ type config = {
   horizon : Sim.Sim_time.span;
   quiescence : Sim.Sim_time.span;
   system_seed : int64;
-  link : Sim.Sim_time.span;
 }
 
 val default_config : ?shards:int -> ?cross_every:int -> Groupsafe.System.technique -> config

@@ -9,22 +9,16 @@ type config = {
   tuning : Gcs.Bcast_tuning.t option;
   fd_config : Gcs.Failure_detector.config option;
   trace_enabled : bool;
-  link : St.span;
-  vote_timeout : St.span;
 }
 
-let default_link = St.span_ms 2.
+(* The cross-shard link latency, which is also the window length
+   (lookahead), and the 2PC coordinator's wait for votes: 200 links. *)
+let link = St.span_ms 2.
+let vote_timeout = St.span_us (St.span_to_us link * 200)
 
-let config ?(seed = 1L) ?tuning ?fd_config ?(trace_enabled = true) ?(link = default_link)
-    ?vote_timeout ~shards ~params technique =
+let config ?(seed = 1L) ?tuning ?fd_config ?(trace_enabled = true) ~shards ~params technique =
   if shards < 1 then invalid_arg "Sharded_system.config: need at least one shard";
-  if St.span_to_us link <= 0 then invalid_arg "Sharded_system.config: zero link latency";
-  let vote_timeout =
-    match vote_timeout with
-    | Some v -> v
-    | None -> St.span_us (St.span_to_us link * 200)
-  in
-  { shards; seed; params; technique; tuning; fd_config; trace_enabled; link; vote_timeout }
+  { shards; seed; params; technique; tuning; fd_config; trace_enabled }
 
 type gack = {
   g_tx : Db.Transaction.id;
@@ -145,27 +139,11 @@ let map t = t.map
 let sys t i = t.states.(i).ss_sys
 let engine_of t i = System.engine t.states.(i).ss_sys
 let metrics t i = t.states.(i).ss_metrics
-let xregistry t i = t.states.(i).ss_xreg
 let now t = Sim.Engine.now (engine_of t 0)
 
-let locate t gi =
-  let sps = servers_per_shard t in
-  if gi < 0 || gi >= n_servers t then invalid_arg "Sharded_system.locate: server out of range";
-  (gi / sps, gi mod sps)
-
-let crash t gi =
-  let s, l = locate t gi in
-  System.crash (sys t s) l
-
-let recover t gi =
-  let s, l = locate t gi in
-  System.recover (sys t s) l
-
 let set_warmup t at = Array.iter (fun s -> Workload.Metrics.set_warmup s.ss_metrics at) t.states
-let group_failed t = Array.exists (fun s -> System.group_failed s.ss_sys) t.states
 
 let block_link t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
-let unblock_link t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
 let clear_blocked t = Hashtbl.reset t.blocked
 
 (* ---- cross-shard messaging ---- *)
@@ -371,7 +349,7 @@ let submit t ?on_response ~delegate tx =
     in
     Hashtbl.replace s.ss_coords tx.Db.Transaction.id c;
     ignore
-      (Sim.Engine.schedule (System.engine s.ss_sys) ~delay:t.cfg.vote_timeout (fun () ->
+      (Sim.Engine.schedule (System.engine s.ss_sys) ~delay:vote_timeout (fun () ->
            if not c.c_decided then begin
              Obs.Registry.inc s.ss_x.x_timeout;
              c.c_abort <- true;
@@ -418,7 +396,7 @@ let drain t =
         Obs.Registry.inc t.states.(e.e_dst).ss_x.x_drop
       else begin
         let eng = engine_of t e.e_dst in
-        let time = St.max (St.add e.e_at t.cfg.link) (Sim.Engine.now eng) in
+        let time = St.max (St.add e.e_at link) (Sim.Engine.now eng) in
         ignore (Sim.Engine.schedule_at eng ~time (fun () -> deliver t e.e_dst e.e_payload))
       end)
     (List.sort compare_envelope all)
@@ -432,7 +410,7 @@ let run_for ?jobs ?on_exchange t span =
     t.states;
   let span_us = St.span_to_us span in
   if span_us > 0 then begin
-    let w_us = St.span_to_us t.cfg.link in
+    let w_us = St.span_to_us link in
     let horizon = St.add t0 span in
     let windows = ((span_us + w_us) - 1) / w_us in
     (* Conservative lookahead: every window is at most one link latency

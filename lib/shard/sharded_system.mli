@@ -33,49 +33,36 @@ type config = {
   tuning : Gcs.Bcast_tuning.t option;
   fd_config : Gcs.Failure_detector.config option;
   trace_enabled : bool;
-  link : Sim.Sim_time.span;
-      (** cross-shard link latency; also the window length (lookahead). *)
-  vote_timeout : Sim.Sim_time.span;
-      (** how long the 2PC coordinator waits for votes before aborting. *)
 }
-
-val default_link : Sim.Sim_time.span
 
 val config :
   ?seed:int64 ->
   ?tuning:Gcs.Bcast_tuning.t ->
   ?fd_config:Gcs.Failure_detector.config ->
   ?trace_enabled:bool ->
-  ?link:Sim.Sim_time.span ->
-  ?vote_timeout:Sim.Sim_time.span ->
   shards:int ->
   params:Workload.Params.t ->
   Groupsafe.System.technique ->
   config
-(** [vote_timeout] defaults to 200 link latencies. Shard [i]'s engine seed
-    is derived from [seed] so that shard 0 runs on [seed] itself — a
-    one-shard system reproduces the unsharded engine byte-for-byte.
-    @raise Invalid_argument on [shards < 1] or a zero [link]. *)
+(** Cross-shard links take 2 ms, which is also the window length
+    (lookahead), and a 2PC coordinator waits 200 link latencies (400 ms)
+    for the votes before aborting. Shard [i]'s engine seed is derived from
+    [seed] so that shard 0 runs on [seed] itself — a one-shard system
+    reproduces the unsharded engine byte-for-byte.
+    @raise Invalid_argument on [shards < 1]. *)
 
 type t
 
 val create : config -> t
 
-(** {1 Topology} *)
+(** {1 Topology}
 
-val shards : t -> int
-val servers_per_shard : t -> int
-
-val n_servers : t -> int
-(** Global server count ([shards * servers_per_shard]); global index [gi]
-    is server [gi mod sps] of shard [gi / sps]. *)
+    Global server index [gi] is server [gi mod sps] of shard [gi / sps],
+    where [sps] is the replica-group size [params.servers]. *)
 
 val map : t -> Shard_map.t
 val sys : t -> int -> Groupsafe.System.t
 val engine_of : t -> int -> Sim.Engine.t
-
-val locate : t -> int -> int * int
-(** Global server index to [(shard, local index)]. *)
 
 (** {1 Load} *)
 
@@ -120,27 +107,15 @@ val now : t -> Sim.Sim_time.t
 
 (** {1 Cross-shard link faults} *)
 
-(** Block/unblock the directed cross-shard link [(src, dst)]: blocked
-    envelopes are dropped at the exchange (counted as
+(** Block the directed cross-shard link [(src, dst)], or unblock every
+    link: blocked envelopes are dropped at the exchange (counted as
     [xshard.link_dropped] on the destination). Call only between runs or
-    from [on_exchange] — link faults take effect at window granularity. *)
+    from [on_exchange] — link faults take effect at window granularity.
+    Server faults are scheduled on the owning shard's engine
+    ({!Groupsafe.System.crash}). *)
 
 val block_link : t -> src:int -> dst:int -> unit
-
-val unblock_link : t -> src:int -> dst:int -> unit
 val clear_blocked : t -> unit
-
-(** {1 Server faults} *)
-
-val crash : t -> int -> unit
-(** Crash by global server index (between runs; during a run, schedule
-    {!Groupsafe.System.crash} on the owning shard's engine). *)
-
-val recover : t -> int -> unit
-
-val group_failed : t -> bool
-(** Whether any shard's replica group failed (majority down) at some
-    point. *)
 
 (** {1 Books} *)
 
@@ -160,25 +135,19 @@ val acked : t -> gack list
 (** Every global acknowledgement across all shards, ordered by
     (time, transaction id) — deterministic at any worker count. *)
 
-val probe_id : int -> Db.Transaction.id
-(** The (negative) id of the phase-1 probe sub-transaction of global
-    transaction [gtx]; disjoint from every workload id and every
-    {!write_id}. *)
-
 val write_id : int -> Db.Transaction.id
 (** The (negative) id of the phase-2 write sub-transaction of global
-    transaction [gtx]. *)
+    transaction [gtx]; disjoint from every workload id and every phase-1
+    probe sub-transaction id. *)
 
 (** {1 Observability} *)
 
-val xregistry : t -> int -> Obs.Registry.t
-(** Shard [i]'s cross-shard counters ([xshard.*]): fast-path and
-    cross-shard submissions, commits/aborts/timeouts, probe and write
-    sub-transactions, failed write subs, link drops. *)
-
 val merged_registry : t -> Obs.Registry.t
-(** Every shard's system registry and [xshard.*] counters folded in shard
-    order under [shard.<i>.*] — the per-shard observability export. *)
+(** Every shard's system registry and cross-shard counters ([xshard.*]:
+    fast-path and cross-shard submissions, commits/aborts/timeouts, probe
+    and write sub-transactions, failed write subs, link drops) folded in
+    shard order under [shard.<i>.*] — the per-shard observability
+    export. *)
 
 val aggregate_registry : t -> Obs.Registry.t
 (** The same metrics folded without prefixes (counters sum across

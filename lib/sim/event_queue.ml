@@ -276,7 +276,6 @@ let add_delayed q ~time ~delay value =
     if k >= 0 then start q k q.lanes.(k) t value else add_single q t value
 
 let next_time_us q = if q.size = 0 then max_int else Array.unsafe_get q.times 0
-let peek_time q = if q.size = 0 then None else Some (Sim_time.of_us q.times.(0))
 
 let[@inline] remove_root q =
   let last = q.size - 1 in

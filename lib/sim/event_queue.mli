@@ -40,9 +40,6 @@ val add_delayed : 'a t -> time:Sim_time.t -> delay:Sim_time.span -> 'a -> unit
     that schedule many events with a few fixed delays skip most heap
     sifts. The pop order is the same as with [add]. *)
 
-val peek_time : 'a t -> Sim_time.t option
-(** [peek_time q] is the instant of the earliest event, if any. *)
-
 val next_time_us : 'a t -> int
 (** O(1), allocation-free peek: the earliest event's time in microseconds,
     or [max_int] when the queue is empty. The engine's hot loop compares

@@ -51,9 +51,6 @@ val span_add : span -> span -> span
 val span_zero : span
 (** The empty duration. *)
 
-val to_ms : t -> float
-(** [to_ms t] is [t] expressed in milliseconds. *)
-
 val compare : t -> t -> int
 (** Total order on instants. *)
 

@@ -1,5 +1,4 @@
 type series = {
-  s_name : string;
   mutable data : float array;
   mutable size : int;
   (* Welford accumulators, kept alongside the raw samples so that mean and
@@ -11,9 +10,8 @@ type series = {
   mutable sorted : float array option; (* cache, invalidated on add *)
 }
 
-let series name =
+let series (_name : string) =
   {
-    s_name = name;
     data = [||];
     size = 0;
     w_mean = 0.;
@@ -22,8 +20,6 @@ let series name =
     hi = nan;
     sorted = None;
   }
-
-let series_name s = s.s_name
 
 let add s x =
   if s.size = Array.length s.data then begin
@@ -114,17 +110,10 @@ let clear s =
   s.hi <- nan;
   s.sorted <- None
 
-type counter = { c_name : string; mutable n : int }
+type counter = { mutable n : int }
 
-let counter name = { c_name = name; n = 0 }
+let counter (_name : string) = { n = 0 }
 let incr c = c.n <- c.n + 1
 let incr_by c k = c.n <- c.n + k
 let value c = c.n
-let counter_name c = c.c_name
 let reset c = c.n <- 0
-
-let pp_series ppf s =
-  if s.size = 0 then Format.fprintf ppf "%s: (empty)" s.s_name
-  else
-    Format.fprintf ppf "%s: n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f" s.s_name s.size (mean s)
-      (median s) (percentile s 95.) (max_value s)

@@ -5,12 +5,11 @@
     percentiles (all samples are retained). A [counter] counts events. *)
 
 type series
-(** A named collection of samples. *)
+(** A collection of samples. *)
 
 val series : string -> series
-(** [series name] is a fresh empty series. *)
-
-val series_name : series -> string
+(** [series name] is a fresh empty series; [name] labels it at the call
+    site only. *)
 
 val add : series -> float -> unit
 (** [add s x] records sample [x]. *)
@@ -22,7 +21,6 @@ val mean : series -> float
 val variance : series -> float
 (** Unbiased sample variance; [nan] with fewer than two samples. *)
 
-val stddev : series -> float
 val min_value : series -> float
 (** Smallest sample; [nan] when empty. *)
 
@@ -54,14 +52,13 @@ val merge : string -> series list -> series
 val clear : series -> unit
 
 type counter
-(** A named monotone event counter. *)
+(** A monotone event counter. *)
 
 val counter : string -> counter
+(** [counter name] is a fresh zero counter; [name] labels it at the call
+    site only. *)
+
 val incr : counter -> unit
 val incr_by : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 val reset : counter -> unit
-
-val pp_series : Format.formatter -> series -> unit
-(** One-line summary: name, count, mean, p50, p95, max. *)

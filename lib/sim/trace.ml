@@ -5,11 +5,10 @@ type entry = {
   attrs : (string * string) list;
 }
 
-type t = { engine : Engine.t; mutable enabled : bool; mutable rev_entries : entry list }
+type t = { engine : Engine.t; enabled : bool; mutable rev_entries : entry list }
 
 let create ?(enabled = true) engine = { engine; enabled; rev_entries = [] }
 let enabled tr = tr.enabled
-let set_enabled tr flag = tr.enabled <- flag
 
 let record tr ~source ~kind attrs =
   if tr.enabled then

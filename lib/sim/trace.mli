@@ -21,7 +21,6 @@ val create : ?enabled:bool -> Engine.t -> t
     to [true]; a disabled trace drops every entry. *)
 
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 
 val record : t -> source:string -> kind:string -> (string * string) list -> unit
 (** [record tr ~source ~kind attrs] appends an entry at the current virtual
@@ -50,8 +49,6 @@ val render : t -> string
 (** The whole trace as one canonical string, one entry per line. Two runs
     with byte-identical renders executed the same events at the same
     virtual instants; determinism regressions compare these. *)
-
-val entry_equal : entry -> entry -> bool
 
 val equal : t -> t -> bool
 (** Entry-wise equality of two traces (timestamps, sources, kinds and

@@ -118,12 +118,6 @@ let durable_records log =
 
 let durable_count log = log.durable_n + log.lied_n
 
-let pending_count log =
-  (* The in-flight batch was removed from [pending] but is not durable yet;
-     it is lost on crash just the same. We cannot see its size here, so we
-     report only records still queued. Checkers use [durable_records]. *)
-  Queue.length log.pending
-
 let crash log =
   log.epoch <- log.epoch + 1;
   log.flushing <- false;

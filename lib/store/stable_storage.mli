@@ -46,9 +46,6 @@ val durable_records : 'a t -> 'a list
 
 val durable_count : 'a t -> int
 
-val pending_count : 'a t -> int
-(** Records accepted but not yet durable (would be lost by a crash now). *)
-
 val crash : 'a t -> unit
 (** Drops pending records and the in-flight flush (their callbacks never
     fire). Durable records are untouched. *)

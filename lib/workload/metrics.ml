@@ -4,7 +4,6 @@ type t = {
   mutable warmup : Sim.Sim_time.t;
   mutable commits : int;
   mutable aborts : int;
-  mutable lost : int;
 }
 
 let create engine =
@@ -14,7 +13,6 @@ let create engine =
     warmup = Sim.Sim_time.zero;
     commits = 0;
     aborts = 0;
-    lost = 0;
   }
 
 let set_warmup t at = t.warmup <- at
@@ -28,13 +26,11 @@ let record_response t ~submitted =
 
 let record_commit t = if past_warmup t then t.commits <- t.commits + 1
 let record_abort t = if past_warmup t then t.aborts <- t.aborts + 1
-let record_lost t = t.lost <- t.lost + 1
 let responses t = t.responses
 let mean_response_ms t = Sim.Stats.mean t.responses
 let p95_response_ms t = Sim.Stats.percentile t.responses 95.
 let commits t = t.commits
 let aborts t = t.aborts
-let lost t = t.lost
 
 let abort_rate t =
   let decided = t.commits + t.aborts in

@@ -18,15 +18,12 @@ val record_response : t -> submitted:Sim.Sim_time.t -> unit
 
 val record_commit : t -> unit
 val record_abort : t -> unit
-val record_lost : t -> unit
-(** A transaction acknowledged to its client and later lost. *)
 
 val responses : t -> Sim.Stats.series
 val mean_response_ms : t -> float
 val p95_response_ms : t -> float
 val commits : t -> int
 val aborts : t -> int
-val lost : t -> int
 
 val abort_rate : t -> float
 (** Aborts over decided transactions; [nan] when nothing decided. *)

@@ -340,12 +340,7 @@ let prop_log_tuning_stream_equivalence =
     (fun (values, spacing_tenths, batch, window, ring) ->
       let baseline = run_log_schedule ~spacing_tenths values in
       let tuning =
-        {
-          (if ring then Bcast_tuning.ring ~batch ~window ()
-           else Bcast_tuning.batched ~batch ~window ())
-          with
-          batch_delay = ms 1.;
-        }
+        if ring then Bcast_tuning.ring ~batch ~window () else Bcast_tuning.batched ~batch ~window ()
       in
       let tuned = run_log_schedule ~tuning ~spacing_tenths values in
       List.for_all (fun stream -> stream = values) baseline

@@ -206,12 +206,13 @@ let test_group_one_safe_loses_when_delegate_stays_down () =
       outcome := Some o;
       System.crash sys 0)
     (tx ~id:0 [ Db.Op.Write (20, 1); Db.Op.Write (21, 1) ]);
-  Crash_injector.crash_at sys ~after:(ms 2.) 1;
-  Crash_injector.crash_at sys ~after:(ms 2.) 2;
+  let after delay f = ignore (Sim.Engine.schedule (System.engine sys) ~delay f) in
+  after (ms 2.) (fun () -> System.crash sys 1);
+  after (ms 2.) (fun () -> System.crash sys 2);
   System.run_for sys (sec 2.);
   check_bool "client was told committed" true (!outcome = Some Db.Testable_tx.Committed);
-  Crash_injector.recover_at sys ~after:(ms 1.) 1;
-  Crash_injector.recover_at sys ~after:(ms 1.) 2;
+  after (ms 1.) (fun () -> System.recover sys 1);
+  after (ms 1.) (fun () -> System.recover sys 2);
   System.run_for sys (sec 5.);
   let report = Safety_checker.analyse sys in
   check_bool "group failed" true report.Safety_checker.group_failed;

@@ -1,7 +1,8 @@
 (* Tests for the harness: report formatting, the analytic models, load
-   points (sanity and determinism), and a randomized crash-storm property:
-   group-safe replication never loses an acknowledged transaction while
-   the group survives. *)
+   points (sanity and determinism), replayable crash storms, and two
+   randomized crash-storm properties: group-safe replication never loses
+   an acknowledged transaction while the group survives, and 2-safe
+   replication never loses one at all. *)
 
 open Groupsafe
 
@@ -104,7 +105,38 @@ let test_load_point_orders_group_safe_under_lazy () =
   let g1s = run (System.Dsm Dsm_replica.Group_one_safe_mode) in
   check_bool "fig9 ordering at moderate load" true (gs < lazy1 && lazy1 < g1s)
 
-(* ---- Crash-storm property ---- *)
+(* ---- Crash storms ---- *)
+
+(* Random crash/recovery churn for [duration]: each server stays up an
+   exponential [mean_up], then, if fewer than [max_down] servers are
+   down, crashes for an exponential [mean_down]. With [max_down < quorum]
+   the group never fails. [rng] is split once per server before anything
+   is scheduled and each server draws only from its own stream, so a
+   server's instants depend on the seed and its index alone, never on how
+   the servers' events interleave: a storm replays under perturbation. *)
+let crash_storm sys ~rng ~duration ~max_down ~mean_up ~mean_down =
+  let after delay f = ignore (Sim.Engine.schedule (System.engine sys) ~delay f) in
+  let deadline = Sim.Sim_time.add (System.now sys) duration in
+  let down = ref 0 in
+  let rec schedule_crash i server_rng =
+    let delay = Sim.Rng.exponential_span server_rng ~mean:mean_up in
+    after delay (fun () ->
+        if Sim.Sim_time.(System.now sys < deadline) then begin
+          if !down < max_down && System.alive sys i then begin
+            incr down;
+            System.crash sys i;
+            let outage = Sim.Rng.exponential_span server_rng ~mean:mean_down in
+            after outage (fun () ->
+                decr down;
+                System.recover sys i;
+                schedule_crash i server_rng)
+          end
+          else schedule_crash i server_rng
+        end)
+  in
+  for i = 0 to System.n_servers sys - 1 do
+    schedule_crash i (Sim.Rng.split rng)
+  done
 
 let storm_params =
   {
@@ -114,6 +146,39 @@ let storm_params =
     hot_fraction = 0.;
     hot_items = 0;
   }
+
+let test_crash_storm_replayable () =
+  let build () =
+    System.create ~seed:11L
+      ~params:{ storm_params with Workload.Params.servers = 3; items = 32 }
+      ~trace_enabled:false (System.Lazy Lazy_replica.Zero_safe_mode)
+  in
+  (* max_down above the server count: a server's crash/recover instants
+     then depend only on its own stream, never on the shared down
+     counter. *)
+  let storm sys =
+    crash_storm sys ~rng:(Sim.Rng.create 99L) ~duration:(sec 10.) ~max_down:4 ~mean_up:(sec 1.)
+      ~mean_down:(ms 300.)
+  in
+  let a = build () in
+  storm a;
+  System.run_for a (sec 12.);
+  let b = build () in
+  storm b;
+  (* Perturb only S0 with an extra crash/recover pair the storm knows
+     nothing about. A storm drawing all servers' delays from one shared
+     stream in event order would reshuffle its draws here and move S1's
+     and S2's schedules too; with per-server split streams they must not
+     move. *)
+  ignore (Sim.Engine.schedule (System.engine b) ~delay:(ms 400.) (fun () -> System.crash b 0));
+  ignore (Sim.Engine.schedule (System.engine b) ~delay:(ms 650.) (fun () -> System.recover b 0));
+  System.run_for b (sec 12.);
+  let crash_times sys i =
+    List.map Sim.Sim_time.to_us (System.history sys i).Gcs.Process_class.crashes
+  in
+  Alcotest.(check (list int)) "S1 unmoved" (crash_times a 1) (crash_times b 1);
+  Alcotest.(check (list int)) "S2 unmoved" (crash_times a 2) (crash_times b 2);
+  check_bool "S0 actually perturbed" true (crash_times a 0 <> crash_times b 0)
 
 let prop_group_safe_survives_minority_storms =
   QCheck2.Test.make ~name:"group-safe: no acknowledged loss while the group survives" ~count:8
@@ -134,7 +199,7 @@ let prop_group_safe_survives_minority_storms =
         Workload.Arrival.open_poisson engine ~rng:(Sim.Rng.split rng) ~rate_tps:10. submit
       in
       (* Random crash/recovery churn, never more than a minority down. *)
-      Crash_injector.crash_storm sys ~rng:(Sim.Rng.split rng) ~duration:(sec 20.) ~max_down:2
+      crash_storm sys ~rng:(Sim.Rng.split rng) ~duration:(sec 20.) ~max_down:2
         ~mean_up:(sec 3.) ~mean_down:(sec 1.);
       System.run_for sys (sec 20.);
       Workload.Arrival.stop arrival;
@@ -163,7 +228,7 @@ let prop_two_safe_survives_any_storm =
         Workload.Arrival.open_poisson engine ~rng:(Sim.Rng.split rng) ~rate_tps:6. submit
       in
       (* Unrestricted churn: group failures allowed. *)
-      Crash_injector.crash_storm sys ~rng:(Sim.Rng.split rng) ~duration:(sec 15.) ~max_down:3
+      crash_storm sys ~rng:(Sim.Rng.split rng) ~duration:(sec 15.) ~max_down:3
         ~mean_up:(sec 2.) ~mean_down:(ms 800.);
       System.run_for sys (sec 15.);
       Workload.Arrival.stop arrival;
@@ -199,5 +264,7 @@ let () =
           Alcotest.test_case "closed loop self-throttles" `Slow
             test_closed_loop_point_self_throttles;
         ] );
-      ("storms", qsuite [ prop_group_safe_survives_minority_storms; prop_two_safe_survives_any_storm ]);
+      ( "storms",
+        Alcotest.test_case "crash storm replayable" `Quick test_crash_storm_replayable
+        :: qsuite [ prop_group_safe_survives_minority_storms; prop_two_safe_survives_any_storm ] );
     ]

@@ -115,7 +115,9 @@ let test_blocking_and_presumed_abort () =
     }
   in
   let sys = System.create ~params System.Two_pc in
-  Crash_injector.after sys (ms 8.) (fun () -> System.partition sys [ [ 0 ]; [ 1; 2 ] ]);
+  ignore
+    (Sim.Engine.schedule (System.engine sys) ~delay:(ms 8.) (fun () ->
+         System.partition sys [ [ 0 ]; [ 1; 2 ] ]));
   let outcome = ref None in
   System.submit sys ~delegate:0
     ~on_response:(fun o -> outcome := Some o)

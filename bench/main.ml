@@ -74,7 +74,7 @@ let bench_engine_steady =
   let rec tick () =
     incr i;
     let delay = steady_delays.(!i mod Array.length steady_delays) in
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick)
+    Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick
   in
   for _ = 1 to 128 do
     tick ()
@@ -93,7 +93,7 @@ let bench_engine_random =
   let rec tick () =
     incr i;
     let delay = delays.(!i land 4_095) in
-    ignore (Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick)
+    Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_us delay) tick
   in
   for _ = 1 to 128 do
     tick ()
@@ -104,6 +104,32 @@ let bench_engine_random =
 let bench_rng =
   let r = Sim.Rng.create 7L in
   Test.make ~name:"sim/rng int64" (Staged.stage (fun () -> ignore (Sim.Rng.int64 r)))
+
+type Net.Message.payload += Bench_ping
+
+(* One hardware multicast on the Table 4 LAN: a broadcast from one of 9
+   members to the other 8, stepped until all 8 copies are handled. The
+   copies arrive in one event, so this pins the per-message cost left
+   once the per-copy event is gone: loss draw, message record, delivery
+   checks and hand-over. *)
+let bench_net_broadcast =
+  let engine = Sim.Engine.create () in
+  let network = Net.Network.create engine Net.Network.lan_config in
+  let handled = ref 0 in
+  let ids = List.init 9 (fun i -> Net.Node_id.make ~index:i ~label:(Printf.sprintf "M%d" i)) in
+  List.iter
+    (fun id ->
+      let process = Sim.Process.create engine ~name:(Net.Node_id.label id) in
+      Net.Network.register network ~id ~process (fun _ -> incr handled))
+    ids;
+  let src = List.hd ids and peers = List.tl ids in
+  Test.make ~name:"net/broadcast 9 members send+deliver"
+    (Staged.stage (fun () ->
+         let target = !handled + 8 in
+         Net.Network.broadcast network ~src ~to_:peers Bench_ping;
+         while !handled < target do
+           if not (Sim.Engine.step engine) then failwith "bench_net_broadcast: queue empty"
+         done))
 
 let bench_certifier =
   let c = Db.Certifier.create () in
@@ -304,6 +330,7 @@ let micro_tests =
       bench_engine_steady;
       bench_engine_random;
       bench_rng;
+      bench_net_broadcast;
       bench_certifier;
       bench_certifier_export;
       bench_testable_freeze;

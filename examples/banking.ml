@@ -47,11 +47,10 @@ let story technique_name technique =
   System.submit sys ~delegate:1
     ~on_response:(fun _ ->
       Format.printf "transfer T2 (acc2 -> acc3, 250) acknowledged... and every server crashes@.";
-      ignore
-        (Sim.Engine.schedule (System.engine sys) ~delay:(Sim.Sim_time.span_ms 1.5) (fun () ->
-             for i = 0 to 2 do
-               System.crash sys i
-             done)))
+      Sim.Engine.schedule (System.engine sys) ~delay:(Sim.Sim_time.span_ms 1.5) (fun () ->
+          for i = 0 to 2 do
+            System.crash sys i
+          done))
     (transfer ~id:2 ~from_:2 ~to_:3 ~amount:250 ~balances);
   System.run_for sys (sec 2.);
   for i = 0 to 2 do

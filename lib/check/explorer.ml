@@ -101,7 +101,7 @@ let render_highlights sys =
 
 let interpret ~holds groups schedule =
   let sps = System.n_servers groups.(0) in
-  let at g delay f = ignore (Sim.Engine.schedule (System.engine groups.(g)) ~delay f) in
+  let at g delay f = Sim.Engine.schedule (System.engine groups.(g)) ~delay f in
   (* Loss windows may overlap (two Drop_window events, or a shrink that
      moved one); an epoch guard keeps the close of an earlier window from
      cutting a later one short. Loss windows are guarded per group,
@@ -309,10 +309,9 @@ let run ?(trace = false) config schedule =
       Db.Transaction.make ~id:i ~client:0
         [ Db.Op.Write (2 * i, i + 1); Db.Op.Write ((2 * i) + 1, i + 1) ]
     in
-    ignore
-      (Sim.Engine.schedule (System.engine sys)
-         ~delay:(span_mul schedule.Schedule.spacing i)
-         (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx))
+    Sim.Engine.schedule (System.engine sys)
+      ~delay:(span_mul schedule.Schedule.spacing i)
+      (fun () -> if System.alive sys delegate then System.submit sys ~delegate tx)
   done;
   let groups = [| sys |] in
   interpret ~holds groups schedule;

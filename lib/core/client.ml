@@ -67,26 +67,25 @@ let rec attempt t p ~delegate =
   Net.Endpoint.send t.endpoint
     ~dst:(System.server_id t.sys delegate)
     (Client_protocol.Client_request { tx = p.tx });
-  ignore
-    (Sim.Process.after t.process t.retry_timeout (fun () ->
-         if (not p.answered) && Hashtbl.mem t.pending p.tx.Db.Transaction.id then begin
-           if p.attempts < t.max_attempts then begin
-             t.retries <- t.retries + 1;
-             (* Try the next server; the transaction keeps its id, so a
-                server that already processed it answers from its testable
-                transaction record instead of running it twice. *)
-             attempt t p ~delegate:((delegate + 1) mod System.n_servers t.sys)
-           end
-           else begin
-             (* Out of attempts: tell the caller explicitly instead of
-                going silent — an application cannot distinguish "still
-                retrying" from "abandoned" on its own. *)
-             p.answered <- true;
-             Hashtbl.remove t.pending p.tx.Db.Transaction.id;
-             t.gave_up <- t.gave_up + 1;
-             p.on_outcome Gave_up
-           end
-         end))
+  Sim.Process.after t.process t.retry_timeout (fun () ->
+      if (not p.answered) && Hashtbl.mem t.pending p.tx.Db.Transaction.id then begin
+        if p.attempts < t.max_attempts then begin
+          t.retries <- t.retries + 1;
+          (* Try the next server; the transaction keeps its id, so a
+             server that already processed it answers from its testable
+             transaction record instead of running it twice. *)
+          attempt t p ~delegate:((delegate + 1) mod System.n_servers t.sys)
+        end
+        else begin
+          (* Out of attempts: tell the caller explicitly instead of
+             going silent — an application cannot distinguish "still
+             retrying" from "abandoned" on its own. *)
+          p.answered <- true;
+          Hashtbl.remove t.pending p.tx.Db.Transaction.id;
+          t.gave_up <- t.gave_up + 1;
+          p.on_outcome Gave_up
+        end
+      end)
 
 let submit t ?delegate tx ~on_outcome =
   let delegate =

@@ -209,11 +209,10 @@ let ack_poll_interval = Sim.Sim_time.span_ms 120.
 let rec arm_ack_poll t =
   if (not t.ack_poll_armed) && Hashtbl.length t.waiting_2safe > 0 then begin
     t.ack_poll_armed <- true;
-    ignore
-      (Sim.Process.after t.server.Server.process ack_poll_interval (fun () ->
-           t.ack_poll_armed <- false;
-           poll_missing_acks t;
-           arm_ack_poll t))
+    Sim.Process.after t.server.Server.process ack_poll_interval (fun () ->
+        t.ack_poll_armed <- false;
+        poll_missing_acks t;
+        arm_ack_poll t)
   end
 
 and poll_missing_acks t =

@@ -159,14 +159,13 @@ let start_two_phase_commit t tx ~on_response =
            c.c_voting_from <- now t;
            Obs.Registry.inc t.c_prepares_sent;
            List.iter (fun p -> send t p (Tpc_prepare { tx_id; writes; coordinator = self })) t.others));
-  ignore
-    (Sim.Process.after t.server.Server.process vote_timeout (fun () ->
-         match Hashtbl.find_opt t.coordinating tx_id with
-         | Some c when not c.c_decided ->
-           t.vote_timeouts <- t.vote_timeouts + 1;
-           tr t "vote_timeout" [ ("tx", string_of_int tx_id) ];
-           coordinator_decide t tx_id false
-         | Some _ | None -> ()))
+  Sim.Process.after t.server.Server.process vote_timeout (fun () ->
+      match Hashtbl.find_opt t.coordinating tx_id with
+      | Some c when not c.c_decided ->
+        t.vote_timeouts <- t.vote_timeouts + 1;
+        tr t "vote_timeout" [ ("tx", string_of_int tx_id) ];
+        coordinator_decide t tx_id false
+      | Some _ | None -> ())
 
 let handle_vote t src tx_id yes =
   Obs.Registry.inc t.c_votes;
@@ -217,9 +216,8 @@ let handle_prepare t tx_id writes coordinator =
     in
     (* Waiting too long for locks means a (possibly distributed) deadlock:
        vote no and let the coordinator abort. *)
-    ignore
-      (Sim.Process.after t.server.Server.process lock_timeout (fun () ->
-           if (not !granted_all) && not !abandoned then vote_no ()));
+    Sim.Process.after t.server.Server.process lock_timeout (fun () ->
+        if (not !granted_all) && not !abandoned then vote_no ());
     let rec acquire = function
       | [] ->
         granted_all := true;

@@ -191,9 +191,8 @@ struct
     if t.recovering then begin
       t.join_replies <- Net.Node_id.Set.empty;
       List.iter (fun p -> Net.Endpoint.send t.ep ~dst:p Join_req) t.others;
-      ignore
-        (Sim.Process.after (Net.Endpoint.process t.ep) join_retry_interval (fun () ->
-             join_attempt t))
+      Sim.Process.after (Net.Endpoint.process t.ep) join_retry_interval (fun () ->
+          join_attempt t)
     end
 
   let finish_join t ~cold ~slot =
@@ -250,13 +249,12 @@ struct
           && not t.cold_start_pending
         then begin
           t.cold_start_pending <- true;
-          ignore
-            (Sim.Process.after (Net.Endpoint.process t.ep) cold_start_grace (fun () ->
-                 t.cold_start_pending <- false;
-                 if t.recovering then begin
-                   t.cold_start ();
-                   finish_join t ~cold:true ~slot:0
-                 end))
+          Sim.Process.after (Net.Endpoint.process t.ep) cold_start_grace (fun () ->
+              t.cold_start_pending <- false;
+              if t.recovering then begin
+                t.cold_start ();
+                finish_join t ~cold:true ~slot:0
+              end)
         end
       end;
       true

@@ -27,7 +27,7 @@ let gate t k =
     Queue.push k g.queue;
     (* The release event pops whatever is oldest; a flush in between leaves
        it a harmless no-op on the emptied queue. *)
-    ignore (Sim.Process.after g.process (Sim.Sim_time.diff due now) (fun () -> run_next g))
+    Sim.Process.after g.process (Sim.Sim_time.diff due now) (fun () -> run_next g)
 
 let flush t =
   match t with

@@ -38,22 +38,23 @@ let heard fd peer =
     notify_change fd
   end
 
+(* Suspects every peer of [peers] not heard from since [deadline] (or
+   never) and not suspected yet; [true] if it suspected one. A toplevel
+   loop over the peers, so a tick builds no list and no closure, and the
+   set is rebuilt only when a peer times out, which is rare. *)
+let rec time_out fd deadline grew = function
+  | [] -> grew
+  | peer :: rest ->
+    let last = fd.last_heard.(Net.Node_id.index peer) in
+    if (last < 0 || deadline > last) && not (Net.Node_id.Set.mem peer fd.suspected) then begin
+      set_suspected fd (Net.Node_id.Set.add peer fd.suspected);
+      time_out fd deadline true rest
+    end
+    else time_out fd deadline grew rest
+
 let check_timeouts fd =
   let deadline = now_us fd - Sim.Sim_time.span_to_us fd.config.timeout in
-  let newly_suspected =
-    List.filter
-      (fun peer ->
-        (not (Net.Node_id.Set.mem peer fd.suspected))
-        &&
-        let last = fd.last_heard.(Net.Node_id.index peer) in
-        last < 0 || deadline > last)
-      fd.peers
-  in
-  if newly_suspected <> [] then begin
-    set_suspected fd
-      (List.fold_left (fun acc p -> Net.Node_id.Set.add p acc) fd.suspected newly_suspected);
-    notify_change fd
-  end
+  if time_out fd deadline false fd.peers then notify_change fd
 
 let reset_and_start fd =
   Array.fill fd.last_heard 0 (Array.length fd.last_heard) (-1);

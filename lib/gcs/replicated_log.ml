@@ -332,12 +332,11 @@ module Make (V : VALUE) = struct
       && not (Queue.is_empty m.pending)
     then begin
       m.batch_timer_armed <- true;
-      ignore
-        (Sim.Process.after (Net.Endpoint.process m.ep) batch_delay (fun () ->
-             m.batch_timer_armed <- false;
-             match m.leadership with
-             | Leading l -> flush_partial m l
-             | Preparing _ | Follower -> ()))
+      Sim.Process.after (Net.Endpoint.process m.ep) batch_delay (fun () ->
+          m.batch_timer_armed <- false;
+          match m.leadership with
+          | Leading l -> flush_partial m l
+          | Preparing _ | Follower -> ())
     end
 
   and flush_pending m =
@@ -509,8 +508,8 @@ module Make (V : VALUE) = struct
       m.leadership <- Follower;
       (* Retry shortly: if the detector still points at us we will prepare
          with a higher round; otherwise the rightful leader proceeds. *)
-      ignore (Sim.Process.after (Net.Endpoint.process m.ep) (Sim.Sim_time.span_ms 5.) (fun () ->
-          election_check m))
+      Sim.Process.after (Net.Endpoint.process m.ep) (Sim.Sim_time.span_ms 5.) (fun () ->
+          election_check m)
     end
 
   (* ---- Ring_accept handling ---- *)
@@ -792,6 +791,6 @@ module Make (V : VALUE) = struct
     arm_housekeeping m;
     Option.iter Retransmit.arm m.accept_rt;
     (* Defer the first election until every member of the run is built. *)
-    ignore (Sim.Process.after process (Sim.Sim_time.span_ms 1.) (fun () -> election_check m));
+    Sim.Process.after process (Sim.Sim_time.span_ms 1.) (fun () -> election_check m);
     m
 end

@@ -43,16 +43,15 @@ let jittered t span =
   else span_scale span (1. +. Sim.Rng.float t.rng t.config.jitter)
 
 let rec schedule t epoch =
-  ignore
-    (Sim.Process.after t.process (jittered t t.interval) (fun () ->
-         if epoch = t.epoch then begin
-           (if t.pending () then begin
-              t.action ();
-              t.interval <- span_min t.config.cap (span_scale t.interval t.config.multiplier)
-            end
-            else t.interval <- t.config.base);
-           schedule t epoch
-         end))
+  Sim.Process.after t.process (jittered t t.interval) (fun () ->
+      if epoch = t.epoch then begin
+        (if t.pending () then begin
+           t.action ();
+           t.interval <- span_min t.config.cap (span_scale t.interval t.config.multiplier)
+         end
+         else t.interval <- t.config.base);
+        schedule t epoch
+      end)
 
 let restart_chain t =
   t.epoch <- t.epoch + 1;

@@ -661,8 +661,7 @@ let crash_all sys =
 let crash_remotes sys =
   List.iter
     (fun i ->
-      ignore
-        (Sim.Engine.schedule (System.engine sys) ~delay:(ms 2.) (fun () -> System.crash sys i)))
+      Sim.Engine.schedule (System.engine sys) ~delay:(ms 2.) (fun () -> System.crash sys i))
     [ 1; 2 ]
 
 let nop (_ : System.t) = ()
@@ -843,9 +842,8 @@ let table3 ?seed () =
       ~at_ack:(fun sys -> System.crash sys 0)
       ~later:(fun sys ->
         System.recover sys 0;
-        ignore
-          (Sim.Engine.schedule (System.engine sys) ~delay:(ms 100.) (fun () ->
-               System.recover sys 1)))
+        Sim.Engine.schedule (System.engine sys) ~delay:(ms 100.) (fun () ->
+            System.recover sys 1))
   in
   let sub =
     List.map2
@@ -886,7 +884,7 @@ let fig5_schedule ?(seed = 1L) technique =
       (* Let the ordering protocol's decision reach every replica — Fig. 5
          has m delivered on all servers — but crash before any of the
          asynchronous log flushes (>= 4 ms) can complete. *)
-      ignore (Sim.Engine.schedule (System.engine sys) ~delay:(ms 1.5) (fun () -> crash_all sys)))
+      Sim.Engine.schedule (System.engine sys) ~delay:(ms 1.5) (fun () -> crash_all sys))
     write_only_tx;
   System.run_for sys (sec 2.);
   for i = 0 to 2 do

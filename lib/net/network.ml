@@ -128,27 +128,73 @@ let deliver net message =
       | Some cpu -> Sim.Resource.request cpu ~duration:net.config.cpu_per_op hand_over
     end
 
-let transmit net ~src ~dst payload =
+(* A copy's fate at send time: it counts as sent, then is lost with the
+   drop probability in force. *)
+let lost net =
   net.sent <- net.sent + 1;
-  if Sim.Rng.bool net.rng (drop_probability net) then net.dropped <- net.dropped + 1
-  else begin
-    let message = { Message.src; dst; sent_at = Sim.Engine.now net.engine; payload } in
-    ignore (Sim.Engine.schedule net.engine ~delay:net.config.transit (fun () -> deliver net message));
-    (* A marked destination receives this message twice: the duplicate
-       trails one extra transit behind the original, like a retransmitted
-       frame overtaken by the repaired path. Consumed even if the copies are
-       later dropped at delivery (receiver down, partition). *)
-    let dst_index = Node_id.index dst in
-    if Hashtbl.length net.duplicate_next_to > 0 && Hashtbl.mem net.duplicate_next_to dst_index
-    then begin
-      Hashtbl.remove net.duplicate_next_to dst_index;
-      net.duplicated <- net.duplicated + 1;
-      ignore
-        (Sim.Engine.schedule net.engine
-           ~delay:(Sim.Sim_time.span_add net.config.transit net.config.transit)
-           (fun () -> deliver net message))
-    end
+  Sim.Rng.bool net.rng (drop_probability net)
+  && begin
+    net.dropped <- net.dropped + 1;
+    true
   end
+
+(* A marked destination receives its next transmitted message twice: the
+   duplicate trails one extra transit behind the original, like a
+   retransmitted frame overtaken by the repaired path. The mark is
+   consumed even if the copies are later dropped at delivery (receiver
+   down, partition). *)
+let take_duplicate net dst =
+  let dst_index = Node_id.index dst in
+  Hashtbl.length net.duplicate_next_to > 0
+  && Hashtbl.mem net.duplicate_next_to dst_index
+  && begin
+    Hashtbl.remove net.duplicate_next_to dst_index;
+    net.duplicated <- net.duplicated + 1;
+    true
+  end
+
+let deliver_duplicate net message =
+  Sim.Engine.schedule net.engine
+    ~delay:(Sim.Sim_time.span_add net.config.transit net.config.transit)
+    (fun () -> deliver net message)
+
+let transmit net ~src ~dst payload =
+  if not (lost net) then begin
+    let message = { Message.src; dst; sent_at = Sim.Engine.now net.engine; payload } in
+    Sim.Engine.schedule net.engine ~delay:net.config.transit (fun () -> deliver net message);
+    if take_duplicate net dst then deliver_duplicate net message
+  end
+
+(* One hardware multicast. Each copy is counted, draws its loss and
+   consumes its duplicate mark on its own, in [to_] order, as a send
+   would; the surviving copies then land in one event, delivered in [to_]
+   order, and each duplicate follows as its own event one transit later.
+   This runs exactly what one event per copy ran: those events shared one
+   instant and were queued back to back (only duplicates came between
+   them, and those land a transit later), so they popped consecutively;
+   whatever a delivery schedules pops after the last copy either way; and
+   each [deliver] still checks its receiver's liveness and reachability
+   after the previous copy's handler ran. *)
+let multicast net ~src ~to_ payload =
+  let sent_at = Sim.Engine.now net.engine in
+  let rec admit copies duplicates = function
+    | dst :: rest ->
+      if lost net then admit copies duplicates rest
+      else begin
+        let message = { Message.src; dst; sent_at; payload } in
+        admit (message :: copies)
+          (if take_duplicate net dst then message :: duplicates else duplicates)
+          rest
+      end
+    | [] ->
+      (match List.rev copies with
+      | [] -> ()
+      | copies ->
+        Sim.Engine.schedule net.engine ~delay:net.config.transit (fun () ->
+            List.iter (deliver net) copies));
+      List.iter (deliver_duplicate net) (List.rev duplicates)
+  in
+  admit [] [] to_
 
 (* Sends are charged to the sender's CPU (one charge per send or per
    broadcast) and silently vanish when the sender is already down. *)
@@ -166,8 +212,7 @@ let with_sender_cpu net ~src action =
 let send net ~src ~dst payload = with_sender_cpu net ~src (fun () -> transmit net ~src ~dst payload)
 
 let broadcast net ~src ~to_ payload =
-  with_sender_cpu net ~src (fun () ->
-      List.iter (fun dst -> transmit net ~src ~dst payload) to_)
+  with_sender_cpu net ~src (fun () -> multicast net ~src ~to_ payload)
 
 let messages_sent net = net.sent
 let messages_delivered net = net.delivered

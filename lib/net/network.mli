@@ -47,7 +47,12 @@ val broadcast : t -> src:Node_id.t -> to_:Node_id.t list -> Message.payload -> u
 (** [broadcast net ~src ~to_ p] delivers [p] to every node of [to_]
     (including [src] itself if listed, without wire delay suppression: the
     self-copy also takes one transit). One CPU charge at the sender covers
-    the whole broadcast, modelling hardware multicast. *)
+    the whole broadcast, modelling hardware multicast. Every copy counts
+    as sent and draws its own loss, in [to_] order, exactly as that many
+    {!send}s would; the surviving copies are then delivered in one event,
+    in [to_] order, each checked and charged at its receiver as a send's
+    copy is. A {!duplicate_next} mark adds one event per duplicated copy,
+    one transit later. *)
 
 val partition : t -> Node_id.t list list -> unit
 (** [partition net groups] installs a partition: messages between nodes of

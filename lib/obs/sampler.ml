@@ -22,15 +22,14 @@ let attach engine ~registry ~name ~every resource =
   let capacity_us = every_us * Sim.Resource.servers resource in
   let last_busy = ref (Sim.Sim_time.span_to_us (Sim.Resource.busy_time resource)) in
   let rec tick () =
-    ignore
-      (Sim.Engine.schedule engine ~delay:every (fun () ->
-           let depth = Sim.Resource.queue_length resource + Sim.Resource.in_service resource in
-           Histogram.add queue_h depth;
-           Registry.observe_max queue_max depth;
-           let busy = Sim.Sim_time.span_to_us (Sim.Resource.busy_time resource) in
-           let permille = 1000 * (busy - !last_busy) / capacity_us in
-           last_busy := busy;
-           Histogram.add util_h (Stdlib.min 1000 permille);
-           tick ()))
+    Sim.Engine.schedule engine ~delay:every (fun () ->
+        let depth = Sim.Resource.queue_length resource + Sim.Resource.in_service resource in
+        Histogram.add queue_h depth;
+        Registry.observe_max queue_max depth;
+        let busy = Sim.Sim_time.span_to_us (Sim.Resource.busy_time resource) in
+        let permille = 1000 * (busy - !last_busy) / capacity_us in
+        last_busy := busy;
+        Histogram.add util_h (Stdlib.min 1000 permille);
+        tick ())
   in
   tick ()

@@ -130,12 +130,11 @@ let run config schedule =
       else ops
     in
     let tx = Db.Transaction.make ~id:i ~client:0 ops in
-    ignore
-      (Sim.Engine.schedule (Sharded_system.engine_of t home)
-         ~delay:(St.span_us (St.span_to_us schedule.Schedule.spacing * i))
-         (fun () ->
-           if System.alive groups.(home) local then
-             Sharded_system.submit t ~delegate:((home * sps) + local) tx))
+    Sim.Engine.schedule (Sharded_system.engine_of t home)
+      ~delay:(St.span_us (St.span_to_us schedule.Schedule.spacing * i))
+      (fun () ->
+        if System.alive groups.(home) local then
+          Sharded_system.submit t ~delegate:((home * sps) + local) tx)
   done;
   (* The faults run on the explorer's interpreter (no delivery gates:
      delay events were refused above). Partitions and heals additionally

@@ -348,13 +348,12 @@ let submit t ?on_response ~delegate tx =
       }
     in
     Hashtbl.replace s.ss_coords tx.Db.Transaction.id c;
-    ignore
-      (Sim.Engine.schedule (System.engine s.ss_sys) ~delay:vote_timeout (fun () ->
-           if not c.c_decided then begin
-             Obs.Registry.inc s.ss_x.x_timeout;
-             c.c_abort <- true;
-             decide t home tx.Db.Transaction.id c
-           end));
+    Sim.Engine.schedule (System.engine s.ss_sys) ~delay:vote_timeout (fun () ->
+        if not c.c_decided then begin
+          Obs.Registry.inc s.ss_x.x_timeout;
+          c.c_abort <- true;
+          decide t home tx.Db.Transaction.id c
+        end);
     let footprint =
       List.sort_uniq Int.compare (Db.Transaction.read_set tx @ Db.Transaction.write_set tx)
     in
@@ -397,7 +396,7 @@ let drain t =
       else begin
         let eng = engine_of t e.e_dst in
         let time = St.max (St.add e.e_at link) (Sim.Engine.now eng) in
-        ignore (Sim.Engine.schedule_at eng ~time (fun () -> deliver t e.e_dst e.e_payload))
+        Sim.Engine.schedule_at eng ~time (fun () -> deliver t e.e_dst e.e_payload)
       end)
     (List.sort compare_envelope all)
 

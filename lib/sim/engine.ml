@@ -1,9 +1,6 @@
-type event = { mutable cancelled : bool; action : unit -> unit }
-type handle = event
-
 type t = {
   mutable clock : Sim_time.t;
-  queue : event Event_queue.t;
+  queue : (unit -> unit) Event_queue.t;
   root_rng : Rng.t;
   mutable executed : int;
   mutable flushed : int; (* portion of [executed] already added to [total] *)
@@ -38,26 +35,21 @@ let rng e = e.root_rng
 
 let schedule_at e ~time f =
   if Sim_time.(time < e.clock) then invalid_arg "Engine.schedule_at: time in the past";
-  let event = { cancelled = false; action = f } in
-  Event_queue.add_delayed e.queue ~time ~delay:(Sim_time.diff time e.clock) event;
-  event
+  Event_queue.add_delayed e.queue ~time ~delay:(Sim_time.diff time e.clock) f
 
 let schedule e ~delay f = schedule_at e ~time:(Sim_time.add e.clock delay) f
-let cancel h = h.cancelled <- true
 let pending e = Event_queue.length e.queue
 
-let execute e time event =
+let execute e time action =
   e.clock <- time;
-  if not event.cancelled then begin
-    e.executed <- e.executed + 1;
-    event.action ()
-  end
+  e.executed <- e.executed + 1;
+  action ()
 
 let step e =
   match Event_queue.pop e.queue with
   | None -> false
-  | Some (time, event) ->
-    execute e time event;
+  | Some (time, action) ->
+    execute e time action;
     true
 
 let run ?until e =
@@ -70,8 +62,8 @@ let run ?until e =
     let rec loop () =
       let t = Event_queue.next_time_us e.queue in
       if t <= limit_us then begin
-        let event = Event_queue.pop_value e.queue in
-        execute e (Sim_time.of_us t) event;
+        let action = Event_queue.pop_value e.queue in
+        execute e (Sim_time.of_us t) action;
         loop ()
       end
       else e.clock <- Sim_time.max e.clock limit

@@ -4,13 +4,16 @@
     random generator of one simulation run. Components schedule closures at
     future instants; [run] executes them in timestamp order, advancing the
     clock. Everything is single-threaded and deterministic for a given
-    seed. *)
+    seed.
+
+    An event is the bare closure it runs: there is no handle and no
+    cancellation. A component whose pending work can go stale (a timer
+    outlived by a crash, a superseded retry) checks a guard when the
+    event fires instead — {!Process.guard}'s incarnation, or its own
+    generation counter. *)
 
 type t
 (** One simulation run. *)
-
-type handle
-(** A scheduled event, usable for cancellation. *)
 
 val create : ?seed:int64 -> unit -> t
 (** [create ~seed ()] is a fresh engine at time {!Sim_time.zero}.
@@ -24,21 +27,16 @@ val rng : t -> Rng.t
     time rather than share it, so that adding a component does not perturb
     the draws of the others. *)
 
-val schedule : t -> delay:Sim_time.span -> (unit -> unit) -> handle
+val schedule : t -> delay:Sim_time.span -> (unit -> unit) -> unit
 (** [schedule e ~delay f] runs [f] at [now e + delay]. Events scheduled at
     the same instant run in scheduling order. *)
 
-val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> handle
+val schedule_at : t -> time:Sim_time.t -> (unit -> unit) -> unit
 (** [schedule_at e ~time f] runs [f] at [time].
     @raise Invalid_argument if [time] is in the past. *)
 
-val cancel : handle -> unit
-(** [cancel h] prevents the event from running; a no-op if it already ran
-    or was cancelled. *)
-
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    discarded). *)
+(** Number of events still queued. *)
 
 val run : ?until:Sim_time.t -> t -> unit
 (** [run ?until e] executes events in order. With [until], stops once the

@@ -40,10 +40,10 @@ let periodic p ~every f =
   let rec tick () =
     if p.alive && p.incarnation = born then begin
       f ();
-      ignore (Engine.schedule p.engine ~delay:every tick)
+      Engine.schedule p.engine ~delay:every tick
     end
   in
-  ignore (Engine.schedule p.engine ~delay:every tick)
+  Engine.schedule p.engine ~delay:every tick
 
 let on_kill p f = p.kill_hooks <- f :: p.kill_hooks
 let on_restart p f = p.restart_hooks <- f :: p.restart_hooks

@@ -34,8 +34,10 @@ val guard : t -> (unit -> unit) -> unit -> unit
 (** [guard p f] is a callback that runs [f ()] only if [p] is alive and
     still in the incarnation current at guard time. *)
 
-val after : t -> Sim_time.span -> (unit -> unit) -> Engine.handle
-(** [after p d f] schedules [f], guarded by [p], to run [d] from now. *)
+val after : t -> Sim_time.span -> (unit -> unit) -> unit
+(** [after p d f] schedules [f], guarded by [p], to run [d] from now: a
+    kill or restart in between turns the event into a no-op, which is how
+    a crash discards a node's timers. *)
 
 val periodic : t -> every:Sim_time.span -> (unit -> unit) -> unit
 (** [periodic p ~every f] runs [f] every [every], starting one period from

@@ -46,7 +46,7 @@ let rec start_job r job =
       job.finish ()
     end
   in
-  ignore (Engine.schedule r.engine ~delay:job.duration complete)
+  Engine.schedule r.engine ~delay:job.duration complete
 
 and dispatch r =
   if r.busy < r.servers && not (Queue.is_empty r.waiting) then begin

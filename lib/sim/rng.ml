@@ -1,40 +1,46 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes, read and written with
+   [Bytes.get_int64_ne]/[set_int64_ne]: a mutable [int64] field would box
+   a fresh state on every draw. With [mix64] and [int64] inlined, a draw
+   whose result feeds straight into arithmetic allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = seed }
+let create seed =
+  let r = Bytes.create 8 in
+  Bytes.set_int64_ne r 0 seed;
+  r
 
-let int64 r =
-  r.state <- Int64.add r.state golden_gamma;
-  mix64 r.state
+let[@inline] int64 r =
+  let state = Int64.add (Bytes.get_int64_ne r 0) golden_gamma in
+  Bytes.set_int64_ne r 0 state;
+  mix64 state
 
 let split r = create (int64 r)
-let copy r = { state = r.state }
+let copy = Bytes.copy
 
 (* A float uniform in [0, 1) built from the top 53 bits of an output. *)
-let unit_float r =
+let[@inline] unit_float r =
   let bits = Int64.shift_right_logical (int64 r) 11 in
   Int64.to_float bits *. 0x1.0p-53
 
+(* Rejection sampling to avoid modulo bias: [raw - v] starts the block of
+   [n] values [raw] falls in, and the block is incomplete — its last value
+   would lie past 2^63 - 1 — exactly when adding [n - 1] overflows. A
+   toplevel function, so a draw builds no closure. *)
+let rec below r n =
+  let raw = Int64.shift_right_logical (int64 r) 1 in
+  let v = Int64.rem raw (Int64.of_int n) in
+  if Int64.add (Int64.sub raw v) (Int64.of_int (n - 1)) < 0L then below r n else Int64.to_int v
+
 let int r n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias: [raw - v] starts the block
-     of [n] values [raw] falls in, and the block is incomplete — its last
-     value would lie past 2^63 - 1 — exactly when adding [n - 1]
-     overflows. *)
-  let n64 = Int64.of_int n in
-  let rec draw () =
-    let raw = Int64.shift_right_logical (int64 r) 1 in
-    let v = Int64.rem raw n64 in
-    if Int64.add (Int64.sub raw v) (Int64.of_int (n - 1)) < 0L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  below r n
 
 let float r x = unit_float r *. x
 

@@ -3,7 +3,12 @@
     A splitmix64 generator: fast, well distributed, and splittable so that
     independent simulation components can draw from statistically independent
     streams derived from a single experiment seed. Reproducibility is part of
-    the contract: the same seed always yields the same sequence. *)
+    the contract: the same seed always yields the same sequence.
+
+    The state is 8 unboxed bytes, so [int], [bool] and [uniform_int]
+    allocate nothing per draw, and neither does [int64] when the caller's
+    build can inline it (any profile but dune's [dev], which compiles with
+    [-opaque]). *)
 
 type t
 (** A mutable generator state. *)

@@ -8,23 +8,22 @@ let open_poisson engine ~rng ~rate_tps submit =
     if t.running then begin
       t.count <- t.count + 1;
       submit ();
-      ignore (Sim.Engine.schedule engine ~delay:(Sim.Rng.exponential_span rng ~mean) arrive)
+      Sim.Engine.schedule engine ~delay:(Sim.Rng.exponential_span rng ~mean) arrive
     end
   in
-  ignore (Sim.Engine.schedule engine ~delay:(Sim.Rng.exponential_span rng ~mean) arrive);
+  Sim.Engine.schedule engine ~delay:(Sim.Rng.exponential_span rng ~mean) arrive;
   t
 
 let closed_loop engine ~rng ~clients ~think_time submit =
   let t = { running = true; count = 0 } in
   let rec think_then_submit () =
-    ignore
-      (Sim.Engine.schedule engine
-         ~delay:(Sim.Rng.exponential_span rng ~mean:think_time)
-         (fun () ->
-           if t.running then begin
-             t.count <- t.count + 1;
-             submit ~done_:think_then_submit
-           end))
+    Sim.Engine.schedule engine
+      ~delay:(Sim.Rng.exponential_span rng ~mean:think_time)
+      (fun () ->
+        if t.running then begin
+          t.count <- t.count + 1;
+          submit ~done_:think_then_submit
+        end)
   in
   for _ = 1 to clients do
     think_then_submit ()

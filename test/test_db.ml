@@ -660,7 +660,7 @@ let test_engine_crash_loses_pending_log () =
   let s = make_server () in
   Db.Db_engine.log_commit_quiet s.db ~tx:1 ~decision:Db.Certifier.Commit ~writes:[ (1, 10) ];
   (* Crash before the flush completes. *)
-  ignore (Sim.Engine.schedule s.engine ~delay:(ms 1.) (fun () -> Sim.Process.kill s.process));
+  Sim.Engine.schedule s.engine ~delay:(ms 1.) (fun () -> Sim.Process.kill s.process);
   Sim.Engine.run s.engine;
   check_int "nothing durable" 0 (Db.Db_engine.durable_commits s.db)
 

@@ -284,14 +284,12 @@ let prop_log_agreement_under_minority_crashes =
       List.iteri
         (fun i v ->
           let proposer = i mod 3 in
-          ignore
-            (Sim.Engine.schedule c.engine ~delay:(ms (float_of_int (i * 7)))
-               (fun () -> Log.propose members.(proposer) v)))
+          Sim.Engine.schedule c.engine ~delay:(ms (float_of_int (i * 7)))
+            (fun () -> Log.propose members.(proposer) v))
         values;
       if crash_count = 1 then
-        ignore
-          (Sim.Engine.schedule c.engine ~delay:(ms 40.) (fun () ->
-               Sim.Process.kill c.processes.(2)));
+        Sim.Engine.schedule c.engine ~delay:(ms 40.) (fun () ->
+            Sim.Process.kill c.processes.(2));
       run_for c.engine (sec 3.);
       let l0 = decided_list decided 0 and l1 = decided_list decided 1 in
       let rec is_prefix a b =
@@ -314,10 +312,9 @@ let run_log_schedule ?tuning ~spacing_tenths values =
   run_for c.engine (ms 200.);
   List.iteri
     (fun i v ->
-      ignore
-        (Sim.Engine.schedule c.engine
-           ~delay:(ms (float_of_int (i * spacing_tenths) /. 10.))
-           (fun () -> Log.propose members.(0) v)))
+      Sim.Engine.schedule c.engine
+        ~delay:(ms (float_of_int (i * spacing_tenths) /. 10.))
+        (fun () -> Log.propose members.(0) v))
     values;
   run_for c.engine (sec 5.);
   Array.to_list (Array.map (fun d -> List.rev !d) decided)
@@ -734,23 +731,20 @@ let prop_e2e_agreement_under_crash_storms =
       let c, nodes = make_e2e_cluster 3 in
       List.iteri
         (fun i (sender, at) ->
-          ignore
-            (Sim.Engine.schedule c.engine
-               ~delay:(ms (float_of_int at))
-               (fun () ->
-                 if Sim.Process.alive c.processes.(sender) then
-                   E2e.broadcast nodes.(sender).e2e (1000 + i))))
+          Sim.Engine.schedule c.engine
+            ~delay:(ms (float_of_int at))
+            (fun () ->
+              if Sim.Process.alive c.processes.(sender) then
+                E2e.broadcast nodes.(sender).e2e (1000 + i)))
         sends;
       List.iter
         (fun (victim, at, outage) ->
-          ignore
-            (Sim.Engine.schedule c.engine
-               ~delay:(ms (float_of_int at))
-               (fun () -> Sim.Process.kill c.processes.(victim)));
-          ignore
-            (Sim.Engine.schedule c.engine
-               ~delay:(ms (float_of_int (at + outage)))
-               (fun () -> Sim.Process.restart c.processes.(victim))))
+          Sim.Engine.schedule c.engine
+            ~delay:(ms (float_of_int at))
+            (fun () -> Sim.Process.kill c.processes.(victim));
+          Sim.Engine.schedule c.engine
+            ~delay:(ms (float_of_int (at + outage)))
+            (fun () -> Sim.Process.restart c.processes.(victim)))
         crashes;
       run_for c.engine (sec 2.);
       Array.iter (fun p -> if not (Sim.Process.alive p) then Sim.Process.restart p) c.processes;
@@ -1051,7 +1045,12 @@ let prop_fd_eventually_suspects_and_clears =
    schedule on four members, after every simulated event, each detector's
    answer must equal the list rebuilt from [suspected]: self plus the
    unsuspected peers, sorted by index. A change to the suspect set that
-   left the memo standing shows up as a mismatch at the next event. *)
+   left the memo standing shows up as a mismatch at the next event. The
+   tick that raises suspicions is checked too: a detector notifies only
+   when its suspect set changed, and a peer it newly suspects was silent
+   for more than a full timeout, against each member's last-heard
+   instants rebuilt outside the detector (a (re)start counts as hearing
+   everyone; every message in this cluster is a heartbeat). *)
 type fd_fault = Fd_kill of int | Fd_restart of int | Fd_partition of bool list | Fd_heal
 
 let prop_fd_trusted_matches_suspected =
@@ -1077,6 +1076,17 @@ let prop_fd_trusted_matches_suspected =
       let schedule = (0, Fd_kill first) :: (100, Fd_heal) :: rest in
       let c = make_cluster n in
       let fds = Array.map (fun ep -> Failure_detector.create ep ~peers:(group c) ()) c.endpoints in
+      let now_us () = Sim.Sim_time.to_us (Sim.Engine.now c.engine) in
+      let last_heard = Array.make_matrix n n 0 in
+      Array.iteri
+        (fun i ep ->
+          Net.Endpoint.add_handler ep (fun m ->
+              last_heard.(i).(Net.Node_id.index m.Net.Message.src) <- now_us ();
+              false);
+          Sim.Process.on_restart c.processes.(i) (fun () ->
+              Array.fill last_heard.(i) 0 n (now_us ())))
+        c.endpoints;
+      let timeout = Sim.Sim_time.span_to_us Failure_detector.default_config.timeout in
       let apply = function
         | Fd_kill i -> Sim.Process.kill c.processes.(i)
         | Fd_restart i -> Sim.Process.restart c.processes.(i)
@@ -1091,7 +1101,7 @@ let prop_fd_trusted_matches_suspected =
       List.iter
         (fun (gap_ms, f) ->
           at := !at + gap_ms;
-          ignore (Sim.Engine.schedule c.engine ~delay:(ms (float_of_int !at)) (fun () -> apply f)))
+          Sim.Engine.schedule c.engine ~delay:(ms (float_of_int !at)) (fun () -> apply f))
         schedule;
       let expected i =
         let suspected = Failure_detector.suspected fds.(i) in
@@ -1105,15 +1115,31 @@ let prop_fd_trusted_matches_suspected =
              (fun i fd -> List.equal Net.Node_id.equal (Failure_detector.trusted fd) (expected i))
              fds)
       in
-      let horizon = Sim.Sim_time.add Sim.Sim_time.zero (ms (float_of_int (!at + 300))) in
-      let rec drive changes =
-        if Sim.Sim_time.(Sim.Engine.now c.engine >= horizon) || not (Sim.Engine.step c.engine)
-        then changes > 0
-        else
-          agree ()
-          && drive (Array.fold_left (fun acc fd -> acc + Failure_detector.changes fd) 0 fds)
+      let snapshot () =
+        Array.map (fun fd -> (Failure_detector.suspected fd, Failure_detector.changes fd)) fds
       in
-      drive 0)
+      let ticked_soundly before =
+        let now = now_us () in
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i fd ->
+               let was, notified = before.(i) in
+               let is = Failure_detector.suspected fd in
+               (Failure_detector.changes fd = notified || not (Net.Node_id.Set.equal is was))
+               && Net.Node_id.Set.for_all
+                    (fun p ->
+                      Net.Node_id.Set.mem p was
+                      || now - timeout > last_heard.(i).(Net.Node_id.index p))
+                    is)
+             fds)
+      in
+      let horizon = Sim.Sim_time.add Sim.Sim_time.zero (ms (float_of_int (!at + 300))) in
+      let rec drive before =
+        if Sim.Sim_time.(Sim.Engine.now c.engine >= horizon) || not (Sim.Engine.step c.engine)
+        then Array.exists (fun (_, changes) -> changes > 0) before
+        else agree () && ticked_soundly before && drive (snapshot ())
+      in
+      drive (snapshot ()))
 
 (* ---- Property: the delivery gate holds, orders and always releases ---- *)
 
@@ -1142,13 +1168,12 @@ let prop_delivery_gate_fifo_and_release =
       let items = List.sort compare items in
       List.iteri
         (fun i (arrive_us, delay_us) ->
-          ignore
-            (Sim.Process.after p
-               (Sim.Sim_time.span_us arrive_us)
-               (fun () ->
-                 Queue.push delay_us delays;
-                 Delivery_delay.gate gate (fun () ->
-                     released := (i, Sim.Engine.now e) :: !released))))
+          Sim.Process.after p
+            (Sim.Sim_time.span_us arrive_us)
+            (fun () ->
+              Queue.push delay_us delays;
+              Delivery_delay.gate gate (fun () ->
+                  released := (i, Sim.Engine.now e) :: !released)))
         items;
       run_for e (ms 20.);
       let rel = List.rev !released in

@@ -206,7 +206,7 @@ let test_group_one_safe_loses_when_delegate_stays_down () =
       outcome := Some o;
       System.crash sys 0)
     (tx ~id:0 [ Db.Op.Write (20, 1); Db.Op.Write (21, 1) ]);
-  let after delay f = ignore (Sim.Engine.schedule (System.engine sys) ~delay f) in
+  let after delay f = Sim.Engine.schedule (System.engine sys) ~delay f in
   after (ms 2.) (fun () -> System.crash sys 1);
   after (ms 2.) (fun () -> System.crash sys 2);
   System.run_for sys (sec 2.);
@@ -351,10 +351,9 @@ let test_closed_loop_blocks_on_response () =
       (fun ~done_ ->
         incr in_flight;
         if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-        ignore
-          (Sim.Engine.schedule engine ~delay:(ms 5.) (fun () ->
-               decr in_flight;
-               done_ ())))
+        Sim.Engine.schedule engine ~delay:(ms 5.) (fun () ->
+            decr in_flight;
+            done_ ()))
   in
   Sim.Engine.run ~until:(Sim.Sim_time.of_us 1_000_000) engine;
   check_bool "never more than clients in flight" true (!max_in_flight <= 2);

@@ -115,7 +115,7 @@ let test_load_point_orders_group_safe_under_lazy () =
    server's instants depend on the seed and its index alone, never on how
    the servers' events interleave: a storm replays under perturbation. *)
 let crash_storm sys ~rng ~duration ~max_down ~mean_up ~mean_down =
-  let after delay f = ignore (Sim.Engine.schedule (System.engine sys) ~delay f) in
+  let after delay f = Sim.Engine.schedule (System.engine sys) ~delay f in
   let deadline = Sim.Sim_time.add (System.now sys) duration in
   let down = ref 0 in
   let rec schedule_crash i server_rng =
@@ -170,8 +170,8 @@ let test_crash_storm_replayable () =
      stream in event order would reshuffle its draws here and move S1's
      and S2's schedules too; with per-server split streams they must not
      move. *)
-  ignore (Sim.Engine.schedule (System.engine b) ~delay:(ms 400.) (fun () -> System.crash b 0));
-  ignore (Sim.Engine.schedule (System.engine b) ~delay:(ms 650.) (fun () -> System.recover b 0));
+  Sim.Engine.schedule (System.engine b) ~delay:(ms 400.) (fun () -> System.crash b 0);
+  Sim.Engine.schedule (System.engine b) ~delay:(ms 650.) (fun () -> System.recover b 0);
   System.run_for b (sec 12.);
   let crash_times sys i =
     List.map Sim.Sim_time.to_us (System.history sys i).Gcs.Process_class.crashes

@@ -81,8 +81,8 @@ let test_crash_during_flight_drops () =
   let f = make_fixture 2 in
   Network.send f.network ~src:f.ids.(0) ~dst:f.ids.(1) (Ping 1);
   (* Crash before the transit delay elapses. *)
-  ignore (Sim.Engine.schedule f.engine ~delay:(Sim.Sim_time.span_us 10) (fun () ->
-      Sim.Process.kill f.processes.(1)));
+  Sim.Engine.schedule f.engine ~delay:(Sim.Sim_time.span_us 10) (fun () ->
+      Sim.Process.kill f.processes.(1));
   Sim.Engine.run f.engine;
   check_int "dropped in flight" 0 (List.length !(f.received.(1)))
 
@@ -96,9 +96,9 @@ let test_crashed_sender_noop () =
 let test_recovered_receiver_gets_new_messages () =
   let f = make_fixture 2 in
   Sim.Process.kill f.processes.(1);
-  ignore (Sim.Engine.schedule f.engine ~delay:(ms 1.) (fun () ->
+  Sim.Engine.schedule f.engine ~delay:(ms 1.) (fun () ->
       Sim.Process.restart f.processes.(1);
-      Network.send f.network ~src:f.ids.(0) ~dst:f.ids.(1) (Ping 2)));
+      Network.send f.network ~src:f.ids.(0) ~dst:f.ids.(1) (Ping 2));
   Sim.Engine.run f.engine;
   Alcotest.(check (list (pair int int))) "received after restart" [ (0, 2) ] !(f.received.(1))
 
@@ -295,6 +295,143 @@ let test_sparse_out_of_order_registration () =
   Sim.Engine.run engine;
   check_bool "a hole can still be filled" true (List.mem (5, 40, 6) !got)
 
+(* ---- Property: one event per multicast delivers what one per copy did ---- *)
+
+(* [Network.broadcast] delivers all surviving copies of a multicast in one
+   event. The reference is what it replaced: one [Network.send] per
+   destination, which schedules one event per copy, as the old per-copy
+   transmit loop did. Senders have no CPU, so the sends are charged
+   nothing and the two differ only in how copies are queued. A random
+   program of broadcasts (destination lists with the sender and repeats)
+   and sends runs next to loss windows, duplicate marks, partitions,
+   heals, kills and restarts, all landing while copies are in flight, and
+   receivers may react to a copy by killing a node or sending: the
+   executed (time, receiver, sender, payload) sequence and the four
+   counters must be equal, with and without receiver CPUs. Each step
+   schedules the next either before or after it acts, so a step can run
+   ahead of or behind the copies arriving at its instant. *)
+type reaction = Quiet | Kill_on_receipt of int | Send_on_receipt of int
+
+type Message.payload += Probe of int * reaction
+
+type step =
+  | Cast of int * int list * reaction
+  | Unicast of int * int * reaction
+  | Drop_window of float option
+  | Duplicate of int
+  | Cut of bool list
+  | Heal
+  | Kill of int
+  | Restart of int
+
+let program_senders = 2
+let program_nodes = 6
+
+let run_program ~cpus ~broadcast program =
+  let engine = Sim.Engine.create ~seed:11L () in
+  let network = Network.create engine Network.lan_config in
+  let ids = Array.init program_nodes node in
+  let processes =
+    Array.map (fun id -> Sim.Process.create engine ~name:(Node_id.label id)) ids
+  in
+  let log = ref [] in
+  Array.iteri
+    (fun i id ->
+      let cpu =
+        if cpus && i >= program_senders then
+          Some (Sim.Resource.create engine ~name:"cpu" ~servers:1)
+        else None
+      in
+      Network.register network ~id ~process:processes.(i) ?cpu (fun m ->
+          match m.Message.payload with
+          | Probe (v, reaction) -> (
+            log := (Sim.Sim_time.to_us (Sim.Engine.now engine), i, Node_id.index m.src, v) :: !log;
+            match reaction with
+            | Quiet -> ()
+            | Kill_on_receipt k -> Sim.Process.kill processes.(k)
+            | Send_on_receipt d -> Network.send network ~src:id ~dst:ids.(d) (Probe (-v, Quiet)))
+          | _ -> ()))
+    ids;
+  let apply v = function
+    | Cast (src, to_, reaction) ->
+      broadcast network ~src:ids.(src) ~to_:(List.map (fun i -> ids.(i)) to_) (Probe (v, reaction))
+    | Unicast (src, dst, reaction) ->
+      Network.send network ~src:ids.(src) ~dst:ids.(dst) (Probe (v, reaction))
+    | Drop_window p -> Network.set_drop network p
+    | Duplicate d -> Network.duplicate_next network ids.(d)
+    | Cut side ->
+      let members keep =
+        List.filteri (fun i _ -> Bool.equal (List.nth side i) keep) (Array.to_list ids)
+      in
+      Network.partition network [ members true; members false ]
+    | Heal -> Network.heal network
+    | Kill k -> Sim.Process.kill processes.(k)
+    | Restart k -> Sim.Process.restart processes.(k)
+  in
+  let rec chain v = function
+    | [] -> ()
+    | (gap, ahead, step) :: rest ->
+      let next () = chain (v + 1) rest in
+      Sim.Engine.schedule engine ~delay:(Sim.Sim_time.span_us gap) (fun () ->
+          if ahead then next ();
+          apply v step;
+          if not ahead then next ())
+  in
+  chain 1 program;
+  Sim.Engine.run engine;
+  ( List.rev !log,
+    [
+      Network.messages_sent network;
+      Network.messages_delivered network;
+      Network.messages_dropped network;
+      Network.messages_duplicated network;
+    ] )
+
+let per_copy_broadcast network ~src ~to_ payload =
+  List.iter (fun dst -> Network.send network ~src ~dst payload) to_
+
+let prop_multicast_matches_per_copy_sends =
+  let open QCheck2.Gen in
+  let any_node = int_range 0 (program_nodes - 1) in
+  let sender = int_range 0 (program_senders - 1) in
+  let reaction =
+    frequency
+      [
+        (6, pure Quiet);
+        (1, map (fun k -> Kill_on_receipt k) any_node);
+        (1, map (fun d -> Send_on_receipt d) any_node);
+      ]
+  in
+  let step =
+    frequency
+      [
+        ( 5,
+          map3
+            (fun s to_ r -> Cast (s, to_, r))
+            sender
+            (list_size (int_range 0 8) any_node)
+            reaction );
+        (2, map3 (fun s d r -> Unicast (s, d, r)) sender any_node reaction);
+        (1, map (fun p -> Drop_window p) (opt (oneofl [ 0.3; 0.6; 1. ])));
+        (2, map (fun d -> Duplicate d) any_node);
+        (1, map (fun side -> Cut side) (list_repeat program_nodes bool));
+        (1, pure Heal);
+        (1, map (fun k -> Kill k) any_node);
+        (1, map (fun k -> Restart k) any_node);
+      ]
+  in
+  (* Gaps in whole and half transits (70 us), so steps, copies, duplicates
+     and receive-CPU completions keep landing on the same instants. *)
+  let gap = oneofl [ 0; 0; 35; 70; 70; 105; 140; 210 ] in
+  QCheck2.Test.make ~name:"multicast delivers what per-copy sends delivered" ~count:300
+    (list_size (int_range 1 40) (triple gap bool step))
+    (fun program ->
+      List.for_all
+        (fun cpus ->
+          run_program ~cpus ~broadcast:Network.broadcast program
+          = run_program ~cpus ~broadcast:per_copy_broadcast program)
+        [ false; true ])
+
 let () =
   Alcotest.run "net"
     [
@@ -304,6 +441,7 @@ let () =
           Alcotest.test_case "send after transit" `Quick test_send_delivers_after_transit;
           Alcotest.test_case "broadcast" `Quick test_broadcast_reaches_all_listed;
           Alcotest.test_case "cpu charges" `Quick test_cpu_charge_delays_delivery;
+          QCheck_alcotest.to_alcotest prop_multicast_matches_per_copy_sends;
         ] );
       ( "faults",
         [

@@ -240,7 +240,7 @@ let test_sampler_records_and_validates () =
   (* Keep the resource half busy: 5 ms of service every 10 ms. *)
   let rec load () =
     Sim.Resource.request cpu ~duration:(Sim.Sim_time.span_ms 5.) (fun () ->
-        ignore (Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_ms 5.) load))
+        Sim.Engine.schedule e ~delay:(Sim.Sim_time.span_ms 5.) load)
   in
   load ();
   Sim.Engine.run e ~until:(Sim.Sim_time.of_us 100_000);

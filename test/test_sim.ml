@@ -329,6 +329,87 @@ let test_rng_bool_probability () =
   let ratio = float_of_int !hits /. float_of_int n in
   check_bool "ratio near 0.3" true (ratio > 0.28 && ratio < 0.32)
 
+(* The output stream is part of the generator's contract: every seeded
+   run, golden and corpus depends on it. These values were recorded from
+   the boxed-state generator the byte-state one replaced, so a change to
+   how the state is stored or a draw is computed shows up here first. *)
+let test_rng_stream_pinned () =
+  let check_int64s name expected actual = Alcotest.(check (list int64)) name expected actual in
+  let int64s r n = List.init n (fun _ -> Rng.int64 r) in
+  check_int64s "seed 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L;
+      1961750202426094747L; 6038094601263162090L; 3207296026000306913L; -4214222208109204676L;
+      4532161160992623299L; -884877559730491226L; 7313543279846440201L; -4408136866661146890L;
+      -8781561602181964933L; -8205710985559103185L; -5382347917484077799L; -8882435919750266709L ]
+    (int64s (Rng.create 0L) 16);
+  check_int64s "seed 1"
+    [ -7995527694508729151L; -4689498862643123097L; -534904783426661026L; 8196980753821780235L;
+      8195237237126968761L; -4373826470845021568L; -2262517385565684571L; -8797857673641491083L;
+      5266705631892356520L; -3800091893662914666L; 7455107161863376737L; -7278709470210847746L;
+      8392123148533390784L; -8668512467949215094L; 8042142155559163816L; 3081251696030599739L ]
+    (int64s (Rng.create 1L) 16);
+  check_int64s "seed 2^63-1"
+    [ 3055647633038352039L; -1005427240264861369L; -1435078927205645936L; 2314904739866303483L;
+      5990184416167851723L; 2076871689085313299L; 3255033911170563879L; -8354410678317521450L;
+      -3590066590701544131L; -2825049472176592815L; -3020117430252748001L; 2515297480572808503L;
+      -6144313832865365200L; -5096421992473659725L; -6008886388274919257L; -6580451751592564817L ]
+    (int64s (Rng.create Int64.max_int) 16);
+  let r = Rng.create 42L in
+  let ints n = List.init 16 (fun _ -> Rng.int r n) in
+  Alcotest.(check (list int)) "int 1" (List.init 16 (fun _ -> 0)) (ints 1);
+  Alcotest.(check (list int)) "int 7" [ 1; 5; 5; 3; 3; 5; 2; 5; 5; 2; 0; 1; 0; 0; 3; 6 ] (ints 7);
+  Alcotest.(check (list int)) "int 1000"
+    [ 46; 79; 362; 641; 776; 896; 872; 2; 873; 868; 422; 664; 241; 725; 293; 827 ]
+    (ints 1000);
+  Alcotest.(check (list bool)) "bool 0.5"
+    [ false; false; true; true; true; true; true; false; false; false; false; true; true; false;
+      false; true ]
+    (List.init 16 (fun _ -> Rng.bool r 0.5));
+  Alcotest.(check (list (float 0.))) "float 10"
+    [ 0x1.9ff1a898afe19p+1; 0x1.8ed3607ecb9d2p+2; 0x1.3bc12bfe0aa3p+3; 0x1.8aece3c131079p+1;
+      0x1.1d4aeb71ac932p+3; 0x1.27ce3a7414c43p+3; 0x1.1f04e57deff12p+3; 0x1.aea845b71e718p+2 ]
+    (List.init 8 (fun _ -> Rng.float r 10.));
+  let parent = Rng.create 5L in
+  let child = Rng.split parent in
+  check_int64s "split stream"
+    [ -371861127037631947L; 1952936728445087881L; -2511281395025717595L; -4094463292105855974L;
+      4129592827645874139L; -38620975544068777L; -2568015128872364922L; -5765264389234819243L ]
+    (int64s child 8);
+  check_int64s "split parent"
+    [ -4569129087685675272L; 4292726422858613063L; 1832488697174800709L; 3467252261107883461L;
+      7020995479949754436L; -266305980683511007L; -9018585715443110101L; 7866638711627835880L ]
+    (int64s parent 8);
+  let original = Rng.create 9L in
+  ignore (int64s original 3);
+  let copy = Rng.copy original in
+  check_int64s "copy stream"
+    [ -3969486743262896032L; 4843255778055325601L; 2114146066760625150L; -6533675609759106868L;
+      -303476099996192451L; 4040493311852077417L; -3889293473195387533L; -7568002972331140704L ]
+    (int64s copy 8);
+  Alcotest.(check int64) "advancing the copy leaves the original unmoved" (-3969486743262896032L)
+    (Rng.int64 original)
+
+(* The hot draws allocate nothing once running: no boxed state, no
+   closure per rejection loop, no boxed intermediate. As in the event
+   queue's tests, the [Gc.minor_words] calls box a float themselves;
+   anything per draw would cost >= 1024 words. *)
+let test_rng_draws_steady_state_no_alloc () =
+  let r = Rng.create 3L in
+  let measure name draw =
+    draw ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 1024 do
+      draw ()
+    done;
+    let words = Gc.minor_words () -. before in
+    check_bool (name ^ " allocates nothing") true (words < 100.)
+  in
+  let sum = ref 0 in
+  measure "int" (fun () -> sum := !sum + Rng.int r 1000);
+  measure "bool" (fun () -> if Rng.bool r 0.3 then incr sum);
+  measure "uniform_int" (fun () -> sum := !sum + Rng.uniform_int r (-5) 5);
+  check_bool "draws were used" true (!sum <> min_int)
+
 let test_rng_shuffle_permutes () =
   let r = Rng.create 17L in
   let a = Array.init 50 Fun.id in
@@ -342,27 +423,19 @@ let test_rng_shuffle_permutes () =
 let test_engine_order_and_clock () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~delay:(ms 3.) (fun () -> log := ("c", Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:(ms 1.) (fun () -> log := ("a", Engine.now e) :: !log));
-  ignore (Engine.schedule e ~delay:(ms 2.) (fun () -> log := ("b", Engine.now e) :: !log));
+  Engine.schedule e ~delay:(ms 3.) (fun () -> log := ("c", Engine.now e) :: !log);
+  Engine.schedule e ~delay:(ms 1.) (fun () -> log := ("a", Engine.now e) :: !log);
+  Engine.schedule e ~delay:(ms 2.) (fun () -> log := ("b", Engine.now e) :: !log);
   Engine.run e;
   let names = List.rev_map fst !log in
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] names;
   check_int "clock at last event" 3000 (Sim_time.to_us (Engine.now e))
 
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~delay:(ms 1.) (fun () -> fired := true) in
-  Engine.cancel h;
-  Engine.run e;
-  check_bool "cancelled" false !fired
-
 let test_engine_until () =
   let e = Engine.create () in
   let fired = ref 0 in
-  ignore (Engine.schedule e ~delay:(ms 1.) (fun () -> incr fired));
-  ignore (Engine.schedule e ~delay:(ms 10.) (fun () -> incr fired));
+  Engine.schedule e ~delay:(ms 1.) (fun () -> incr fired);
+  Engine.schedule e ~delay:(ms 10.) (fun () -> incr fired);
   Engine.run ~until:(Sim_time.of_us 5000) e;
   check_int "only first fired" 1 !fired;
   check_int "clock at limit" 5000 (Sim_time.to_us (Engine.now e));
@@ -372,10 +445,9 @@ let test_engine_until () =
 let test_engine_nested_schedule () =
   let e = Engine.create () in
   let hits = ref [] in
-  ignore
-    (Engine.schedule e ~delay:(ms 1.) (fun () ->
-         hits := 1 :: !hits;
-         ignore (Engine.schedule e ~delay:(ms 1.) (fun () -> hits := 2 :: !hits))));
+  Engine.schedule e ~delay:(ms 1.) (fun () ->
+      hits := 1 :: !hits;
+      Engine.schedule e ~delay:(ms 1.) (fun () -> hits := 2 :: !hits));
   Engine.run e;
   Alcotest.(check (list int)) "nested" [ 2; 1 ] !hits;
   check_int "events executed" 2 (Engine.events_executed e)
@@ -502,8 +574,8 @@ let prop_engine_order_matches_reference_heap =
       let engine =
         {
           now = (fun () -> Sim_time.to_us (Engine.now e));
-          after = (fun d f -> ignore (Engine.schedule e ~delay:(Sim_time.span_us d) f));
-          at = (fun t f -> ignore (Engine.schedule_at e ~time:(Sim_time.of_us t) f));
+          after = (fun d f -> Engine.schedule e ~delay:(Sim_time.span_us d) f);
+          at = (fun t f -> Engine.schedule_at e ~time:(Sim_time.of_us t) f);
           run_until =
             (fun until -> Engine.run ?until:(Option.map Sim_time.of_us until) e);
         }
@@ -526,8 +598,8 @@ let test_process_guard_blocks_after_kill () =
   let e = Engine.create () in
   let p = Process.create e ~name:"n" in
   let fired = ref false in
-  ignore (Process.after p (ms 2.) (fun () -> fired := true));
-  ignore (Engine.schedule e ~delay:(ms 1.) (fun () -> Process.kill p));
+  Process.after p (ms 2.) (fun () -> fired := true);
+  Engine.schedule e ~delay:(ms 1.) (fun () -> Process.kill p);
   Engine.run e;
   check_bool "guarded callback suppressed" false !fired
 
@@ -550,7 +622,7 @@ let test_process_periodic_stops_at_kill () =
   let p = Process.create e ~name:"n" in
   let ticks = ref 0 in
   Process.periodic p ~every:(ms 1.) (fun () -> incr ticks);
-  ignore (Engine.schedule e ~delay:(Sim_time.span_us 3_500) (fun () -> Process.kill p));
+  Engine.schedule e ~delay:(Sim_time.span_us 3_500) (fun () -> Process.kill p);
   Engine.run e;
   check_int "three ticks then dead" 3 !ticks
 
@@ -606,7 +678,7 @@ let test_resource_reset_discards () =
   let fired = ref 0 in
   Resource.request r ~duration:(ms 10.) (fun () -> incr fired);
   Resource.request r ~duration:(ms 10.) (fun () -> incr fired);
-  ignore (Engine.schedule e ~delay:(ms 1.) (fun () -> Resource.reset r));
+  Engine.schedule e ~delay:(ms 1.) (fun () -> Resource.reset r);
   Engine.run e;
   check_int "no callbacks after reset" 0 !fired;
   check_int "idle after reset" 0 (Resource.in_service r)
@@ -696,9 +768,8 @@ let test_counter () =
 let test_trace_record_and_query () =
   let e = Engine.create () in
   let tr = Trace.create e in
-  ignore
-    (Engine.schedule e ~delay:(ms 1.) (fun () ->
-         Trace.record tr ~source:"S1" ~kind:"commit" [ ("tx", "7") ]));
+  Engine.schedule e ~delay:(ms 1.) (fun () ->
+      Trace.record tr ~source:"S1" ~kind:"commit" [ ("tx", "7") ]);
   Engine.run e;
   check_int "one entry" 1 (Trace.length tr);
   match Trace.find_all tr ~kind:"commit" with
@@ -770,10 +841,12 @@ let () =
         :: Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes
         :: Alcotest.test_case "int rejects only the last block" `Quick
              test_rng_int_rejects_only_the_last_block
+        :: Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned
+        :: Alcotest.test_case "steady-state draws allocate nothing" `Quick
+             test_rng_draws_steady_state_no_alloc
         :: qsuite [ prop_rng_int_bounds; prop_rng_uniform_int_bounds ] );
       ( "engine",
         Alcotest.test_case "order and clock" `Quick test_engine_order_and_clock
-        :: Alcotest.test_case "cancel" `Quick test_engine_cancel
         :: Alcotest.test_case "run until" `Quick test_engine_until
         :: Alcotest.test_case "nested scheduling" `Quick test_engine_nested_schedule
         :: qsuite [ prop_engine_order_matches_reference_heap ] );

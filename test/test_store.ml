@@ -32,10 +32,10 @@ let test_group_commit_batches () =
   (* First append starts a flush; the next three arrive while it is in
      flight and must share the second flush. *)
   Stable_storage.append_quiet log 0;
-  ignore (Sim.Engine.schedule engine ~delay:(ms 1.) (fun () ->
-      for i = 1 to 3 do
-        Stable_storage.append_quiet log i
-      done));
+  Sim.Engine.schedule engine ~delay:(ms 1.) (fun () ->
+    for i = 1 to 3 do
+    Stable_storage.append_quiet log i
+    done);
   Sim.Engine.run engine;
   check_int "two flushes for four records" 2 (Stable_storage.flush_count log);
   Alcotest.(check (list int)) "order kept" [ 0; 1; 2; 3 ] (Stable_storage.durable_records log)
@@ -58,9 +58,9 @@ let test_crash_loses_pending_keeps_durable () =
   let acked = ref [] in
   Stable_storage.append log "first" ~on_durable:(fun () -> acked := "first" :: !acked);
   (* Let the first flush complete, then append and crash mid-flush. *)
-  ignore (Sim.Engine.schedule engine ~delay:(ms 10.) (fun () ->
-      Stable_storage.append log "lost" ~on_durable:(fun () -> acked := "lost" :: !acked);
-      ignore (Sim.Engine.schedule engine ~delay:(ms 2.) (fun () -> Stable_storage.crash log))));
+  Sim.Engine.schedule engine ~delay:(ms 10.) (fun () ->
+    Stable_storage.append log "lost" ~on_durable:(fun () -> acked := "lost" :: !acked);
+    Sim.Engine.schedule engine ~delay:(ms 2.) (fun () -> Stable_storage.crash log));
   Sim.Engine.run engine;
   Alcotest.(check (list string)) "only first acked" [ "first" ] !acked;
   Alcotest.(check (list string)) "only first durable" [ "first" ] (Stable_storage.durable_records log)
@@ -98,7 +98,7 @@ let test_cell_crash_keeps_old_value () =
   let engine, disk = fixture () in
   let cell = Durable_cell.create engine ~name:"c" ~disk ~write_time:(fixed_write (ms 8.)) ~initial:1 in
   Durable_cell.write_quiet cell 2;
-  ignore (Sim.Engine.schedule engine ~delay:(ms 3.) (fun () -> Durable_cell.crash cell));
+  Sim.Engine.schedule engine ~delay:(ms 3.) (fun () -> Durable_cell.crash cell);
   Sim.Engine.run engine;
   check_int "old value survives" 1 (Durable_cell.read cell)
 

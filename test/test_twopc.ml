@@ -115,9 +115,8 @@ let test_blocking_and_presumed_abort () =
     }
   in
   let sys = System.create ~params System.Two_pc in
-  ignore
-    (Sim.Engine.schedule (System.engine sys) ~delay:(ms 8.) (fun () ->
-         System.partition sys [ [ 0 ]; [ 1; 2 ] ]));
+  Sim.Engine.schedule (System.engine sys) ~delay:(ms 8.) (fun () ->
+      System.partition sys [ [ 0 ]; [ 1; 2 ] ]);
   let outcome = ref None in
   System.submit sys ~delegate:0
     ~on_response:(fun o -> outcome := Some o)

@@ -9,7 +9,6 @@ type config = {
   technique : System.technique;
   predicate : predicate;
   params : Workload.Params.t;
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : Sim.Sim_time.span;
   horizon : Sim.Sim_time.span;
@@ -23,11 +22,6 @@ type config = {
   tuning : Gcs.Bcast_tuning.t;
   mutate : System.t -> unit;
 }
-
-(* Same light failure detector as the harness's long runs: 10 ms
-   heartbeats would dominate the event count of thousands of short
-   replays. *)
-let light_fd = { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
 
 let default_params =
   {
@@ -46,7 +40,6 @@ let default_config ?(predicate = Violation) ?(nemesis = false) ?(liveness = fals
     technique;
     predicate;
     params = default_params;
-    fd = light_fd;
     txs = 2;
     spacing = ms 5.;
     horizon = ms 60.;
@@ -294,8 +287,9 @@ let run ?(trace = false) config schedule =
     schedule.Schedule.events;
   let delivery_delay i = if gated.(i) then Some (fun () -> holds.(i)) else None in
   let sys =
-    System.create ~seed:config.system_seed ~params ~fd_config:config.fd
-      ~tuning:config.tuning ~trace_enabled:trace ~delivery_delay config.technique
+    System.create ~seed:config.system_seed ~params
+      ~fd_config:Gcs.Failure_detector.light_config ~tuning:config.tuning ~trace_enabled:trace
+      ~delivery_delay config.technique
   in
   (* Oracle-mutation hook: deliberate protocol breakage installed before
      any load, so mutation tests exercise the whole run. *)
@@ -772,8 +766,8 @@ let explore ?(max_exhaustive_events = 3) ?(max_random_events = 4) ~seed ~budget 
    heartbeat rounds). *)
 let settled config =
   let sys =
-    System.create ~seed:config.system_seed ~params:config.params ~fd_config:config.fd
-      ~tuning:config.tuning config.technique
+    System.create ~seed:config.system_seed ~params:config.params
+      ~fd_config:Gcs.Failure_detector.light_config ~tuning:config.tuning config.technique
   in
   config.mutate sys;
   System.run_for sys (sec 1.);

@@ -42,7 +42,6 @@ type config = {
   technique : Groupsafe.System.technique;
   predicate : predicate;
   params : Workload.Params.t;  (** [params.servers] is the base server count. *)
-  fd : Gcs.Failure_detector.config;
   txs : int;  (** write-only transactions on disjoint items. *)
   spacing : Sim.Sim_time.span;  (** transaction [i] is submitted at [i * spacing]. *)
   horizon : Sim.Sim_time.span;  (** fault window; every server is recovered here. *)
@@ -99,8 +98,9 @@ val default_config :
   ?mutate:(Groupsafe.System.t -> unit) ->
   Groupsafe.System.technique ->
   config
-(** 3 servers, a small database, a light failure detector, 2 transactions
-    5 ms apart, a 60 ms fault window and 4 s of quiescence. [predicate]
+(** 3 servers, a small database, 2 transactions 5 ms apart, a 60 ms
+    fault window and 4 s of quiescence; every system runs the light
+    failure detector ({!Gcs.Failure_detector.light_config}). [predicate]
     defaults to {!Violation}, [nemesis], [liveness] and [storage] to
     [false] ([liveness:true] turns [nemesis] on too; [storage] does not);
     delivery-delay events are enabled for the broadcast-based (Dsm)

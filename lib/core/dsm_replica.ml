@@ -85,7 +85,6 @@ type t = {
          volatile cache of the WAL, rebuilt from it on restart. Keyed
          lookups only. *)
   mutable ack_poll_armed : bool;  (* a [Logged_query] sweep is scheduled *)
-  mutable fd : Gcs.Failure_detector.t option;  (* 2-safe response rule only *)
   pipe : pending Queue.t;
   mutable pipe_busy : bool;
   mutable current : pending option;  (* popped from [pipe], still processing *)
@@ -155,18 +154,18 @@ let node_of_index t index = List.find (fun n -> Net.Node_id.index n = index) t.g
 (* ---- 2-safe response rule: answer once every available server logged ---- *)
 
 let check_2safe_responses t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-    (* 2-safe: logged on every *available* server (the detector's trusted
-       set). Very safe: logged on every server, available or not — one
-       crash blocks commits until the crashed server recovers and its
-       replayed delivery is logged. *)
+  match t.bcast with
+  | None | Some (Classical _) -> ()
+  | Some (End_to_end e2e) ->
+    (* 2-safe: logged on every *available* server (the trusted set of the
+       broadcast's detector). Very safe: logged on every server, available
+       or not — one crash blocks commits until the crashed server recovers
+       and its replayed delivery is logged. *)
     let required =
       match t.mode with
       | Very_safe_mode -> t.group
       | Two_safe_mode | Group_safe_mode | Group_one_safe_mode ->
-        Gcs.Failure_detector.trusted fd
+        Gcs.Failure_detector.trusted (E2e.detector e2e)
     in
     let ready_txs =
       Analysis.Det_tbl.fold ~cmp:Int.compare
@@ -537,7 +536,6 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
       waiting_2safe = Hashtbl.create 64;
       logged_local = Hashtbl.create 64;
       ack_poll_armed = false;
-      fd = None;
       pipe = Queue.create ();
       pipe_busy = false;
       current = None;
@@ -574,10 +572,7 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
          ()
      in
      t.bcast <- Some (End_to_end e2e);
-     t.fd <- Some (Gcs.Failure_detector.create endpoint ~peers:group ?config:fd_config ());
-     (match t.fd with
-      | Some fd -> Gcs.Failure_detector.on_change fd (fun () -> check_2safe_responses t)
-      | None -> ());
+     Gcs.Failure_detector.on_change (E2e.detector e2e) (fun () -> check_2safe_responses t);
      Sim.Process.on_restart server.Server.process (fun () -> on_restart_two_safe t ()));
   Sim.Process.on_kill server.Server.process (fun () -> on_kill t ());
   Net.Endpoint.add_handler endpoint (fun message ->

@@ -57,7 +57,6 @@ struct
     mutable cold_start_pending : bool;
     mutable view : View.t;
     mutable view_hooks : (View.t -> unit) list;
-    fd : Failure_detector.t;
     delivery_delay : Delivery_delay.t;
     mutable retransmit : Retransmit.t option;  (* set right after [create]'s record *)
     m_broadcasts : Obs.Registry.counter;
@@ -156,23 +155,17 @@ struct
      every member installs the same view sequence at the same point of the
      message flow. *)
   let propose_view_repairs t =
-    if not t.recovering then begin
-      let suspected = Failure_detector.suspected t.fd in
-      let self = Net.Endpoint.id t.ep in
-      let is_view_leader =
-        match Failure_detector.trusted t.fd with
-        | leader :: _ -> Net.Node_id.equal leader self
-        | [] -> false
-      in
-      if is_view_leader then begin
+    if not t.recovering then
+      match Log.leader_hint t.log with
+      | Some leader when Net.Node_id.equal leader (Net.Endpoint.id t.ep) ->
+        let suspected = Failure_detector.suspected (Log.detector t.log) in
         let left =
           List.filter_map
             (fun n -> if Net.Node_id.Set.mem n suspected then Some (Net.Node_id.index n) else None)
             t.view.View.members
         in
         if left <> [] then broadcast_entry t (LV.View_evt { joined = []; left })
-      end
-    end
+      | Some _ | None -> ()
 
   let propose_self_join t =
     if not t.recovering then
@@ -270,7 +263,6 @@ struct
     let log = Log.create ep ~group ~mode:Log.Volatile ?fd_config ?uniform ?tuning ~metrics () in
     let self = Net.Endpoint.id ep in
     let others = List.filter (fun p -> not (Net.Node_id.equal p self)) group in
-    let fd = Failure_detector.create ep ~peers:group ?config:fd_config () in
     let t =
       {
         ep;
@@ -291,7 +283,6 @@ struct
         cold_start_pending = false;
         view = View.initial group;
         view_hooks = [];
-        fd;
         delivery_delay;
         retransmit = None;
         m_broadcasts = Obs.Registry.counter metrics "abcast.broadcasts";
@@ -316,7 +307,7 @@ struct
                t.unstable)
            ());
     Log.on_decide log (on_log_decide t);
-    Failure_detector.on_change fd (fun () -> propose_view_repairs t);
+    Failure_detector.on_change (Log.detector log) (fun () -> propose_view_repairs t);
     Net.Endpoint.add_handler ep (handle_message t);
     let process = Net.Endpoint.process ep in
     Sim.Process.on_kill process (fun () ->

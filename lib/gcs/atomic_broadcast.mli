@@ -88,9 +88,9 @@ module Make
       considers present. View changes are ordered {e through the broadcast
       itself}, so every member installs the same view sequence at the same
       position relative to application messages (virtual synchrony). The
-      lowest-indexed live member proposes exclusions when the failure
-      detector convicts a view member; a member that finishes rejoining
-      proposes its own inclusion. *)
+      lowest-indexed live member proposes exclusions when the ordering
+      log's failure detector convicts a view member; a member that
+      finishes rejoining proposes its own inclusion. *)
 
   val on_view_change : t -> (View.t -> unit) -> unit
   (** [on_view_change t f] calls [f] at every view installation, in

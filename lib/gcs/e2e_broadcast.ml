@@ -37,6 +37,7 @@ module Make (V : Replicated_log.VALUE) = struct
   let delivered_count t = t.delivered
   let acked_slot t = Store.Durable_cell.read t.cursor
   let is_leading t = Log.is_leading t.log
+  let detector t = Log.detector t.log
   let break_no_accept_retransmit t = Log.break_no_accept_retransmit t.log
 
   (* Deduplication is decided at release time: an entry held in the delay

@@ -68,6 +68,9 @@ module Make (V : Replicated_log.VALUE) : sig
   val acked_slot : t -> int
   (** Durable cursor: every slot below it was successfully delivered. *)
 
+  val detector : t -> Failure_detector.t
+  (** The ordering log's failure detector ({!Replicated_log.Make.detector}). *)
+
   val is_leading : t -> bool
   (** Whether this member's ordering log currently holds leadership —
       progress evidence for the liveness oracle. *)

@@ -3,6 +3,9 @@ type config = { heartbeat_interval : Sim.Sim_time.span; timeout : Sim.Sim_time.s
 let default_config =
   { heartbeat_interval = Sim.Sim_time.span_ms 10.; timeout = Sim.Sim_time.span_ms 50. }
 
+let light_config =
+  { heartbeat_interval = Sim.Sim_time.span_ms 50.; timeout = Sim.Sim_time.span_ms 250. }
+
 type Net.Message.payload += Heartbeat
 
 type t = {
@@ -86,9 +89,7 @@ let create endpoint ~peers ?(config = default_config) () =
       changes = 0;
     }
   in
-  (* Observe heartbeats without consuming them: several detectors can
-     share one endpoint (ordering layer, broadcast layer, replica layer)
-     and every one of them must keep hearing its peers. *)
+  (* Observe, not consume: a handler added later still sees heartbeats. *)
   Net.Endpoint.add_handler endpoint (fun message ->
       match message.Net.Message.payload with
       | Heartbeat ->

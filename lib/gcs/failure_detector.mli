@@ -7,7 +7,10 @@
     the ordering protocol needs for liveness. Safety never depends on it.
 
     Volatile: a crash clears the detector's state; on restart it starts
-    afresh and re-suspects everyone until heartbeats arrive. *)
+    afresh and re-suspects everyone until heartbeats arrive. Heartbeats
+    carry no detector id, so an endpoint runs one detector: the ordering
+    log's ({!Replicated_log.Make.detector}), to which the layers above
+    subscribe. *)
 
 type config = {
   heartbeat_interval : Sim.Sim_time.span;
@@ -16,6 +19,10 @@ type config = {
 
 val default_config : config
 (** 10 ms heartbeats, 50 ms timeout — negligible load at Table 4 scale. *)
+
+val light_config : config
+(** 50 ms heartbeats, 250 ms timeout: the performance studies and the
+    checkers, where 10 ms heartbeats would dominate the event count. *)
 
 type t
 
@@ -41,5 +48,5 @@ val on_change : t -> (unit -> unit) -> unit
 val changes : t -> int
 (** Number of suspect-set transitions (suspicions raised or cleared) this
     detector has observed since creation. Evidence counter for the
-    liveness oracle and property tests: silence must eventually raise it,
-    a heal must eventually raise it again as suspicion clears. *)
+    detector's property tests: silence must eventually raise it, a heal
+    must eventually raise it again as suspicion clears. *)

@@ -113,6 +113,7 @@ module Make (V : VALUE) = struct
   let mode_is_durable m = match m.mode with Durable _ -> true | Volatile -> false
   let on_decide m f = m.deliver_hook <- f
   let decided_prefix m = m.next_deliver
+  let detector m = m.fd
   let leader_hint m = match Failure_detector.trusted m.fd with [] -> None | l :: _ -> Some l
   let is_leading m = match m.leadership with Leading _ -> true | Follower | Preparing _ -> false
   let break_no_accept_retransmit m = m.accept_retransmit_broken <- true

@@ -114,6 +114,10 @@ module Make (V : VALUE) : sig
   (** [chosen_at m s] is [Some vs] when this member knows slot [s] decided
       ([vs = []] for a no-op), [None] otherwise. *)
 
+  val detector : t -> Failure_detector.t
+  (** The endpoint's failure detector, built from [fd_config]: leadership
+      follows it, and the layers above subscribe to it. *)
+
   val leader_hint : t -> Net.Node_id.t option
   (** Whom this member currently believes to be leader. *)
 

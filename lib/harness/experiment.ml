@@ -4,11 +4,6 @@ module Pool = Parallel.Domain_pool
 let sec = Sim.Sim_time.span_s
 let ms = Sim.Sim_time.span_ms
 
-(* A lighter failure detector for long performance runs: the default 10 ms
-   heartbeat is pointless overhead when nothing crashes. *)
-let light_fd =
-  { Gcs.Failure_detector.heartbeat_interval = ms 50.; timeout = ms 250. }
-
 type load_point = {
   technique : System.technique;
   load_tps : float;
@@ -24,8 +19,8 @@ type load_point = {
 let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 5.)
     ?(measure_s = 60.) ?apply_write_factor ?tuning ?(obs_trace = false) technique ~load_tps =
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ?apply_write_factor ?tuning
-      ~trace_enabled:false ~obs_trace technique
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config
+      ?apply_write_factor ?tuning ~trace_enabled:false ~obs_trace technique
   in
   System.attach_obs_samplers sys;
   let engine = System.engine sys in
@@ -66,7 +61,8 @@ let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 
 let run_closed_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 5.)
     ?(measure_s = 60.) technique ~think_time_s =
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ~trace_enabled:false technique
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config
+      ~trace_enabled:false technique
   in
   let engine = System.engine sys in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -110,8 +106,8 @@ let run_sharded_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(war
     ?(measure_s = 60.) ?tuning ?(shards = 1) ?(cross_fraction = 0.) ?(zipf_s = 0.) ?jobs
     technique ~load_tps =
   let cfg =
-    Shard.Sharded_system.config ~seed ?tuning ~fd_config:light_fd ~trace_enabled:false ~shards
-      ~params technique
+    Shard.Sharded_system.config ~seed ?tuning ~fd_config:Gcs.Failure_detector.light_config
+      ~trace_enabled:false ~shards ~params technique
   in
   let t = Shard.Sharded_system.create cfg in
   let map = Shard.Sharded_system.map t in
@@ -920,8 +916,8 @@ let fig7 ?seed () =
 let measure_latencies ?(seed = 1L) ?uniform () =
   let params = Workload.Params.table4 in
   let sys =
-    System.create ~seed ~params ~fd_config:light_fd ?uniform ~trace_enabled:true
-      (System.Dsm Dsm_replica.Group_safe_mode)
+    System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config ?uniform
+      ~trace_enabled:true (System.Dsm Dsm_replica.Group_safe_mode)
   in
   let engine = System.engine sys in
   let rng = Sim.Rng.split (Sim.Engine.rng engine) in
@@ -1103,7 +1099,7 @@ let section7 () =
   let conflicts n =
     let params = { params with Workload.Params.servers = n } in
     let sys =
-      System.create ~params ~fd_config:light_fd ~trace_enabled:false
+      System.create ~params ~fd_config:Gcs.Failure_detector.light_config ~trace_enabled:false
         (System.Lazy Lazy_replica.One_safe_mode)
     in
     let engine = System.engine sys in
@@ -1233,7 +1229,10 @@ let recovery ?(seed = 1L) () =
     let params =
       { Workload.Params.table4 with Workload.Params.servers = 3; items = 2000 }
     in
-    let sys = System.create ~seed ~params ~fd_config:light_fd ~trace_enabled:false technique in
+    let sys =
+      System.create ~seed ~params ~fd_config:Gcs.Failure_detector.light_config
+        ~trace_enabled:false technique
+    in
     let engine = System.engine sys in
     let rng = Sim.Rng.split (Sim.Engine.rng engine) in
     let generator = Workload.Generator.create params (Sim.Rng.split rng) in

@@ -7,7 +7,6 @@ type config = {
   technique : System.technique;
   shards : int;
   params : Workload.Params.t;
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : St.span;
   cross_every : int;
@@ -24,7 +23,6 @@ let default_config ?(shards = 2) ?(cross_every = 2) technique =
     technique;
     shards;
     params = { e.E.params with Workload.Params.items = 240 };
-    fd = e.E.fd;
     txs = 4;
     spacing = e.E.spacing;
     cross_every;
@@ -99,8 +97,8 @@ let run config schedule =
       | _ -> ())
     schedule.Schedule.events;
   let scfg =
-    Sharded_system.config ~seed:config.system_seed ~fd_config:config.fd ~trace_enabled:false
-      ~shards ~params:config.params config.technique
+    Sharded_system.config ~seed:config.system_seed ~fd_config:Gcs.Failure_detector.light_config
+      ~trace_enabled:false ~shards ~params:config.params config.technique
   in
   let t = Sharded_system.create scfg in
   let map = Sharded_system.map t in

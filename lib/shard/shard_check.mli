@@ -31,7 +31,6 @@ type config = {
   params : Workload.Params.t;
       (** per-shard parameters ([servers] = replica-group size of one
           shard, [items] = global key space), as in {!Sharded_system}. *)
-  fd : Gcs.Failure_detector.config;
   txs : int;
   spacing : Sim.Sim_time.span;
   cross_every : int;

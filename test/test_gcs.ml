@@ -615,6 +615,47 @@ let test_e2e_total_order_multiple () =
     Alcotest.(check (list int)) "same order" l0 (List.rev !(nodes.(i).processed))
   done
 
+(* ---- One failure detector per endpoint ---- *)
+
+(* Messages the whole network sends over 2 s of idle time, after a 1 s
+   settle (first election, first heartbeat rounds). *)
+let idle_messages engine network =
+  run_for engine (sec 1.);
+  let before = Net.Network.messages_sent network in
+  run_for engine (sec 2.);
+  Net.Network.messages_sent network - before
+
+let idle_log_messages ~durable n =
+  let c, _, _ = make_log_cluster ~durable n in
+  idle_messages c.engine c.network
+
+(* The ordering log's detector is its endpoint's only one, and view
+   repair subscribes to it: an idle broadcast group of either kind sends
+   exactly what a bare log group of the same mode sends. *)
+let test_fd_one_per_endpoint_broadcasts () =
+  let c, _ = make_abcast_cluster 3 in
+  check_int "abcast group sends what a volatile log group sends"
+    (idle_log_messages ~durable:false 3)
+    (idle_messages c.engine c.network);
+  let c, _ = make_e2e_cluster 3 in
+  check_int "e2e group sends what a durable log group sends"
+    (idle_log_messages ~durable:true 3)
+    (idle_messages c.engine c.network)
+
+(* The same over whole DSM systems on Table 4's nine servers: the 2-safe
+   response rule subscribes to the end-to-end broadcast's detector, so no
+   replica adds a heartbeat stream to its log's. *)
+let test_fd_one_per_endpoint_systems () =
+  let module System = Groupsafe.System in
+  List.iter
+    (fun (mode, durable) ->
+      let sys = System.create ~trace_enabled:false (System.Dsm mode) in
+      check_int
+        (System.technique_name (System.Dsm mode) ^ " system sends what a log group sends")
+        (idle_log_messages ~durable (System.n_servers sys))
+        (idle_messages (System.engine sys) (System.network sys)))
+    [ (Groupsafe.Dsm_replica.Group_safe_mode, false); (Groupsafe.Dsm_replica.Two_safe_mode, true) ]
+
 let test_abcast_views_follow_membership () =
   let c, nodes = make_abcast_cluster 3 in
   let views = Array.init 3 (fun _ -> ref []) in
@@ -1202,6 +1243,10 @@ let () =
       ( "failure_detector",
         Alcotest.test_case "suspects and recovers" `Quick test_fd_suspects_and_recovers
         :: Alcotest.test_case "change hook" `Quick test_fd_change_hook
+        :: Alcotest.test_case "one per endpoint: idle broadcast groups" `Quick
+             test_fd_one_per_endpoint_broadcasts
+        :: Alcotest.test_case "one per endpoint: idle DSM systems" `Quick
+             test_fd_one_per_endpoint_systems
         :: qsuite [ prop_fd_eventually_suspects_and_clears; prop_fd_trusted_matches_suspected ] );
       ( "retransmit",
         [

@@ -1,0 +1,37 @@
+(** Hash tables keyed by [int], with deterministic enumeration.
+
+    Transaction ids, log slots, item numbers, node indexes and pages are all
+    ints, and the simulator looks them up several times per simulated event.
+    The polymorphic [Hashtbl] pays a C call to the generic hash and a
+    structural comparison per probe; this table is [Hashtbl.Make] over
+    [int] with [Int.equal] and the key itself (sign bit cleared) as the
+    hash, so a probe is a mask, an array read and an integer compare.
+
+    The table type is abstract and the only enumerations are in ascending
+    key order ({!iter_sorted}, {!fold_sorted}), so bucket order can never
+    reach a report, a trace or the simulated network (see
+    {!Det_tbl} and docs/LINTING.md, rule [T-hashtbl-iter]). Sorting costs
+    [O(n log n)] per enumeration. *)
+
+type 'a t
+
+val create : int -> 'a t
+(** [create n] is an empty table sized for about [n] bindings. *)
+
+val reset : 'a t -> unit
+(** Remove every binding and shrink back to the initial size. *)
+
+val length : 'a t -> int
+val replace : 'a t -> int -> 'a -> unit
+val remove : 'a t -> int -> unit
+val find_opt : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
+
+val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit
+(** [iter_sorted f t] applies [f] to every binding in ascending key order.
+    The keys are read before the first call: a binding [f] removes before
+    it is reached is skipped, and one [f] adds is not visited. *)
+
+val fold_sorted : (int -> 'a -> 'acc -> 'acc) -> 'a t -> 'acc -> 'acc
+(** [fold_sorted f t init] folds [f] over the bindings in ascending key
+    order. *)

@@ -13,7 +13,7 @@ type t = {
   process : Sim.Process.t;
   retry_timeout : Sim.Sim_time.span;
   max_attempts : int;
-  pending : (Db.Transaction.id, pending) Hashtbl.t;
+  pending : pending Analysis.Int_tbl.t;
   mutable next_delegate : int;
   mutable completed : int;
   mutable retries : int;
@@ -24,12 +24,12 @@ type t = {
 let client_node_index sys index = System.n_servers sys + index
 
 let handle_reply t tx_id outcome =
-  match Hashtbl.find_opt t.pending tx_id with
+  match Analysis.Int_tbl.find_opt t.pending tx_id with
   | None -> ()
   | Some p ->
     if not p.answered then begin
       p.answered <- true;
-      Hashtbl.remove t.pending tx_id;
+      Analysis.Int_tbl.remove t.pending tx_id;
       t.completed <- t.completed + 1;
       p.on_outcome (Replied outcome)
     end
@@ -47,7 +47,7 @@ let create sys ~index ?(retry_timeout = Sim.Sim_time.span_ms 500.) ?(max_attempt
       process;
       retry_timeout;
       max_attempts;
-      pending = Hashtbl.create 16;
+      pending = Analysis.Int_tbl.create 16;
       next_delegate = index mod System.n_servers sys;
       completed = 0;
       retries = 0;
@@ -68,7 +68,7 @@ let rec attempt t p ~delegate =
     ~dst:(System.server_id t.sys delegate)
     (Client_protocol.Client_request { tx = p.tx });
   Sim.Process.after t.process t.retry_timeout (fun () ->
-      if (not p.answered) && Hashtbl.mem t.pending p.tx.Db.Transaction.id then begin
+      if (not p.answered) && Analysis.Int_tbl.mem t.pending p.tx.Db.Transaction.id then begin
         if p.attempts < t.max_attempts then begin
           t.retries <- t.retries + 1;
           (* Try the next server; the transaction keeps its id, so a
@@ -81,7 +81,7 @@ let rec attempt t p ~delegate =
              going silent — an application cannot distinguish "still
              retrying" from "abandoned" on its own. *)
           p.answered <- true;
-          Hashtbl.remove t.pending p.tx.Db.Transaction.id;
+          Analysis.Int_tbl.remove t.pending p.tx.Db.Transaction.id;
           t.gave_up <- t.gave_up + 1;
           p.on_outcome Gave_up
         end
@@ -97,11 +97,11 @@ let submit t ?delegate tx ~on_outcome =
       d
   in
   let p = { tx; attempts = 0; answered = false; on_outcome } in
-  Hashtbl.replace t.pending tx.Db.Transaction.id p;
+  Analysis.Int_tbl.replace t.pending tx.Db.Transaction.id p;
   attempt t p ~delegate
 
 let node_id t = Net.Endpoint.id t.endpoint
 let completed t = t.completed
 let retries t = t.retries
 let gave_up t = t.gave_up
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = Analysis.Int_tbl.length t.pending

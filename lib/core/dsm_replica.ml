@@ -41,6 +41,7 @@ end
 
 module Abcast = Gcs.Atomic_broadcast.Make (Cert_ws) (Snapshot)
 module E2e = Gcs.E2e_broadcast.Make (Cert_ws)
+module Int_tbl = Analysis.Int_tbl
 
 type Net.Message.payload +=
   | Logged of { tx : Db.Transaction.id; origin : int }
@@ -66,7 +67,7 @@ type obs_state = {
   h_wal : Obs.Histogram.t;  (* decision -> commit record durable *)
   c_ack_before_disk : Obs.Registry.counter;  (* commit acks sent before WAL flush *)
   c_ack_after_disk : Obs.Registry.counter;  (* commit acks gated on the disk *)
-  bcast_at : (int, Sim.Sim_time.t) Hashtbl.t;
+  bcast_at : Sim.Sim_time.t Int_tbl.t;
 }
 
 type waiting_2safe = { mutable acks : Net.Node_id.Set.t }
@@ -78,9 +79,9 @@ type t = {
   group : Net.Node_id.t list;
   cert : Db.Certifier.t;
   view : Db.Testable_tx.t;
-  pending_responses : (int, Db.Testable_tx.outcome -> unit) Hashtbl.t;
-  waiting_2safe : (int, waiting_2safe) Hashtbl.t;
-  logged_local : (int, unit) Hashtbl.t;
+  pending_responses : (Db.Testable_tx.outcome -> unit) Int_tbl.t;
+  waiting_2safe : waiting_2safe Int_tbl.t;
+  logged_local : unit Int_tbl.t;
       (* transactions this replica has durably logged (2-safe family);
          volatile cache of the WAL, rebuilt from it on restart. Keyed
          lookups only. *)
@@ -96,6 +97,15 @@ type t = {
 }
 
 let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
+
+(* Per-transaction entries: their attribute strings are built only when the
+   trace records. *)
+let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
+
+let tr_outcome t kind tx outcome =
+  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind tx
+    ~outcome:(Db.Testable_tx.outcome_to_string outcome)
+
 let now t = Sim.Engine.now (Net.Network.engine (Net.Endpoint.network t.server.Server.endpoint))
 
 (* Record one lifecycle phase [from_, until) into its histogram and, when
@@ -103,28 +113,22 @@ let now t = Sim.Engine.now (Net.Network.engine (Net.Endpoint.network t.server.Se
 let observe_phase t h ~name ~tx ~from_ ~until =
   let dur = Sim.Sim_time.diff until from_ in
   Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete t.obs.o_tracer ~name
+  Obs.Tracer.complete_tx t.obs.o_tracer ~name
     ~cat:(Safety.to_string (mode_level t.mode))
-    ~tid:t.server.Server.index ~ts:from_ ~dur
-    ~args:[ ("tx", string_of_int tx) ]
-    ()
+    ~tid:t.server.Server.index ~ts:from_ ~dur tx
 
 let outcome_of = function
   | Db.Certifier.Commit -> Db.Testable_tx.Committed
   | Db.Certifier.Abort -> Db.Testable_tx.Aborted
 
-let outcome_string = function
-  | Db.Testable_tx.Committed -> "committed"
-  | Db.Testable_tx.Aborted -> "aborted"
-
 let guard t k = Sim.Process.guard t.server.Server.process k
 
 let respond t tx outcome =
-  match Hashtbl.find_opt t.pending_responses tx with
+  match Int_tbl.find_opt t.pending_responses tx with
   | None -> ()
   | Some k ->
-    Hashtbl.remove t.pending_responses tx;
-    tr t "respond" [ ("tx", string_of_int tx); ("outcome", outcome_string outcome) ];
+    Int_tbl.remove t.pending_responses tx;
+    tr_outcome t "respond" tx outcome;
     k outcome
 
 let broadcast_cws t cws =
@@ -168,20 +172,20 @@ let check_2safe_responses t =
         Gcs.Failure_detector.trusted (E2e.detector e2e)
     in
     let ready_txs =
-      Analysis.Det_tbl.fold ~cmp:Int.compare
+      Int_tbl.fold_sorted
         (fun tx w acc ->
           if List.for_all (fun n -> Net.Node_id.Set.mem n w.acks) required then tx :: acc else acc)
         t.waiting_2safe []
     in
     List.iter
       (fun tx ->
-        Hashtbl.remove t.waiting_2safe tx;
+        Int_tbl.remove t.waiting_2safe tx;
         Obs.Registry.inc t.obs.c_ack_after_disk;
         respond t tx Db.Testable_tx.Committed)
       ready_txs
 
 let note_logged t tx origin =
-  match Hashtbl.find_opt t.waiting_2safe tx with
+  match Int_tbl.find_opt t.waiting_2safe tx with
   | None -> ()
   | Some w ->
     w.acks <- Net.Node_id.Set.add (node_of_index t origin) w.acks;
@@ -206,7 +210,7 @@ let announce_logged t cws =
 let ack_poll_interval = Sim.Sim_time.span_ms 120.
 
 let rec arm_ack_poll t =
-  if (not t.ack_poll_armed) && Hashtbl.length t.waiting_2safe > 0 then begin
+  if (not t.ack_poll_armed) && Int_tbl.length t.waiting_2safe > 0 then begin
     t.ack_poll_armed <- true;
     Sim.Process.after t.server.Server.process ack_poll_interval (fun () ->
         t.ack_poll_armed <- false;
@@ -217,7 +221,7 @@ let rec arm_ack_poll t =
 and poll_missing_acks t =
   let self = t.server.Server.index in
   let waiting =
-    Analysis.Det_tbl.fold ~cmp:Int.compare (fun tx w acc -> (tx, w) :: acc) t.waiting_2safe []
+    Int_tbl.fold_sorted (fun tx w acc -> (tx, w) :: acc) t.waiting_2safe []
   in
   List.iter
     (fun (tx, w) ->
@@ -265,22 +269,22 @@ and process t item =
            let decided_at = now t in
            observe_phase t t.obs.h_certify ~name:"certify" ~tx ~from_:item.enq_at
              ~until:decided_at;
-           (match Hashtbl.find_opt t.obs.bcast_at tx with
+           (match Int_tbl.find_opt t.obs.bcast_at tx with
            | Some sent_at ->
-             Hashtbl.remove t.obs.bcast_at tx;
+             Int_tbl.remove t.obs.bcast_at tx;
              observe_phase t t.obs.h_abcast ~name:"abcast" ~tx ~from_:sent_at
                ~until:item.enq_at
            | None -> ());
            let decision = Db.Certifier.certify t.cert ~start:cws.Cert_ws.start ~ws in
            let outcome = outcome_of decision in
            Db.Testable_tx.record t.view tx outcome;
-           tr t "decide" [ ("tx", string_of_int tx); ("outcome", outcome_string outcome) ];
+           tr_outcome t "decide" tx outcome;
            match decision with
            | Db.Certifier.Abort -> begin
                (* An abort needs no durability quorum: answer now and drop
                   the waiting entry so the ack sweep never polls for acks
                   that will never come. *)
-               Hashtbl.remove t.waiting_2safe tx;
+               Int_tbl.remove t.waiting_2safe tx;
                respond t tx Db.Testable_tx.Aborted;
                match t.mode with
                | Two_safe_mode | Very_safe_mode ->
@@ -290,8 +294,8 @@ and process t item =
                  Db.Db_engine.log_commit db ~tx ~decision ~writes:[]
                    ~k:
                      (guard t (fun () ->
-                          tr t "logged" [ ("tx", string_of_int tx) ];
-                          Hashtbl.replace t.logged_local tx ();
+                          tr_tx t "logged" tx;
+                          Int_tbl.replace t.logged_local tx ();
                           ack_token t token));
                  advance t ()
                | Group_safe_mode | Group_one_safe_mode ->
@@ -308,7 +312,7 @@ and process t item =
                    group's business, disk work happens behind it. Only the
                    delegate holds the pending response, so only it counts
                    the acknowledgement. *)
-                if Hashtbl.mem t.pending_responses tx then
+                if Int_tbl.mem t.pending_responses tx then
                   Obs.Registry.inc t.obs.c_ack_before_disk;
                 respond t tx Db.Testable_tx.Committed;
                 Db.Db_engine.log_commit db ~tx ~decision ~writes
@@ -316,7 +320,7 @@ and process t item =
                     (guard t (fun () ->
                          observe_phase t t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
                            ~until:(now t);
-                         tr t "logged" [ ("tx", string_of_int tx) ]));
+                         tr_tx t "logged" tx));
                 Db.Db_engine.write_io db ~count ~factor:t.apply_write_factor
                   ~k:(guard t (advance t))
               | Group_one_safe_mode ->
@@ -325,7 +329,7 @@ and process t item =
                 let applied = ref false and flushed = ref false in
                 let maybe_respond () =
                   if !applied && !flushed then begin
-                    if Hashtbl.mem t.pending_responses tx then
+                    if Int_tbl.mem t.pending_responses tx then
                       Obs.Registry.inc t.obs.c_ack_after_disk;
                     respond t tx Db.Testable_tx.Committed
                   end
@@ -335,7 +339,7 @@ and process t item =
                     (guard t (fun () ->
                          observe_phase t t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
                            ~until:(now t);
-                         tr t "logged" [ ("tx", string_of_int tx) ];
+                         tr_tx t "logged" tx;
                          flushed := true;
                          maybe_respond ()));
                 Db.Db_engine.write_io db ~count ~factor:1.0
@@ -356,14 +360,14 @@ and process t item =
                              (guard t (fun () ->
                                   observe_phase t t.obs.h_wal ~name:"wal" ~tx
                                     ~from_:decided_at ~until:(now t);
-                                  tr t "logged" [ ("tx", string_of_int tx) ];
-                                  Hashtbl.replace t.logged_local tx ();
+                                  tr_tx t "logged" tx;
+                                  Int_tbl.replace t.logged_local tx ();
                                   ack_token t token;
                                   announce_logged t cws));
                          advance t ())))))
 
 let deliver t cws token =
-  tr t "deliver" [ ("tx", string_of_int cws.Cert_ws.ws.Db.Transaction.tx_id) ];
+  tr_tx t "deliver" cws.Cert_ws.ws.Db.Transaction.tx_id;
   Queue.push { cws; token; enq_at = now t } t.pipe;
   pump t
 
@@ -430,9 +434,9 @@ let on_kill t () =
   t.pipe_busy <- false;
   t.current <- None;
   Queue.clear t.pipe;
-  Hashtbl.reset t.pending_responses;
-  Hashtbl.reset t.waiting_2safe;
-  Hashtbl.reset t.logged_local;
+  Int_tbl.reset t.pending_responses;
+  Int_tbl.reset t.waiting_2safe;
+  Int_tbl.reset t.logged_local;
   t.ack_poll_armed <- false;
   Db.Certifier.reset t.cert;
   Db.Testable_tx.reset t.view
@@ -447,7 +451,7 @@ let on_restart_two_safe t () =
      [Logged_query] handler answers from, so a delegate still waiting on
      this server's ack can complete after the restart. *)
   List.iter
-    (fun r -> Hashtbl.replace t.logged_local r.Db.Db_engine.w_tx ())
+    (fun r -> Int_tbl.replace t.logged_local r.Db.Db_engine.w_tx ())
     (Db.Db_engine.wal_records t.server.Server.db);
   tr t "recovered_local" [];
   t.ready <- true;
@@ -464,14 +468,14 @@ let submit t tx ~on_response =
       (* Graceful degradation under a full disk: refuse new update work
          with a distinct abort instead of wedging the commit pipeline;
          reads and group traffic continue. *)
-      tr t "disk_full_abort" [ ("tx", string_of_int id) ];
+      tr_tx t "disk_full_abort" id;
       Db.Db_engine.note_degraded t.server.Server.db;
       on_response Db.Testable_tx.Aborted
     end
     else begin
-    tr t "submit" [ ("tx", string_of_int id) ];
+    tr_tx t "submit" id;
     let submitted_at = now t in
-    Hashtbl.replace t.pending_responses id on_response;
+    Int_tbl.replace t.pending_responses id on_response;
     let read_items = Db.Transaction.read_set tx in
     (* The certification snapshot is taken when the read phase begins:
        every item read afterwards is validated against all writesets that
@@ -492,11 +496,11 @@ let submit t tx ~on_response =
                in
                (match t.mode with
                 | Two_safe_mode | Very_safe_mode ->
-                  Hashtbl.replace t.waiting_2safe id { acks = Net.Node_id.Set.empty };
+                  Int_tbl.replace t.waiting_2safe id { acks = Net.Node_id.Set.empty };
                   arm_ack_poll t
                 | Group_safe_mode | Group_one_safe_mode -> ());
-               tr t "broadcast" [ ("tx", string_of_int id) ];
-               Hashtbl.replace t.obs.bcast_at id (now t);
+               tr_tx t "broadcast" id;
+               Int_tbl.replace t.obs.bcast_at id (now t);
                broadcast_cws t cws
              end
              else respond t id Db.Testable_tx.Committed))
@@ -521,7 +525,7 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
       h_wal = Obs.Registry.histogram registry "phase.wal_us";
       c_ack_before_disk = Obs.Registry.counter registry "txn.ack_before_disk";
       c_ack_after_disk = Obs.Registry.counter registry "txn.ack_after_disk";
-      bcast_at = Hashtbl.create 64;
+      bcast_at = Int_tbl.create 64;
     }
   in
   let t =
@@ -532,9 +536,9 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
       group = List.sort Net.Node_id.compare group;
       cert = Db.Certifier.create ();
       view = Db.Testable_tx.create ();
-      pending_responses = Hashtbl.create 64;
-      waiting_2safe = Hashtbl.create 64;
-      logged_local = Hashtbl.create 64;
+      pending_responses = Int_tbl.create 64;
+      waiting_2safe = Int_tbl.create 64;
+      logged_local = Int_tbl.create 64;
       ack_poll_armed = false;
       pipe = Queue.create ();
       pipe_busy = false;
@@ -581,7 +585,7 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
         note_logged t tx origin;
         true
       | Logged_query { tx } ->
-        if Hashtbl.mem t.logged_local tx then
+        if Int_tbl.mem t.logged_local tx then
           Net.Endpoint.send endpoint ~dst:message.Net.Message.src
             (Logged { tx; origin = server.Server.index });
         true

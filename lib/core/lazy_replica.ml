@@ -17,7 +17,7 @@ type t = {
   view : Db.Testable_tx.t;
   (* Last locally-committed update of each item, as a (start, commit)
      interval — used to detect cross-site concurrent conflicts (§7). *)
-  local_commits : (int, Sim.Sim_time.t * Sim.Sim_time.t) Hashtbl.t;
+  local_commits : (Sim.Sim_time.t * Sim.Sim_time.t) Analysis.Int_tbl.t;
   mutable ready : bool;
   mutable deadlock_aborts : int;
   mutable cross_site_conflicts : int;
@@ -34,12 +34,13 @@ type t = {
 let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
 let guard t k = Sim.Process.guard t.server.Server.process k
 
-let outcome_string = function
-  | Db.Testable_tx.Committed -> "committed"
-  | Db.Testable_tx.Aborted -> "aborted"
+(* Per-transaction entries: their attribute strings are built only when the
+   trace records. *)
+let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
 
 let respond t tx outcome ~on_response =
-  tr t "respond" [ ("tx", string_of_int tx); ("outcome", outcome_string outcome) ];
+  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind:"respond" tx
+    ~outcome:(Db.Testable_tx.outcome_to_string outcome);
   on_response outcome
 
 let now t = Sim.Engine.now (Db.Db_engine.engine t.server.Server.db)
@@ -51,15 +52,13 @@ let now t = Sim.Engine.now (Db.Db_engine.engine t.server.Server.db)
 let observe_phase t h ~name ~tx ~from_ ~until =
   let dur = Sim.Sim_time.diff until from_ in
   Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete t.o_tracer ~name
+  Obs.Tracer.complete_tx t.o_tracer ~name
     ~cat:(Safety.to_string (mode_level t.mode))
-    ~tid:t.server.Server.index ~ts:from_ ~dur
-    ~args:[ ("tx", string_of_int tx) ]
-    ()
+    ~tid:t.server.Server.index ~ts:from_ ~dur tx
 
 let propagate t ws ~started_at =
   Obs.Registry.inc t.c_propagations;
-  tr t "propagate" [ ("tx", string_of_int ws.Db.Transaction.tx_id) ];
+  tr_tx t "propagate" ws.Db.Transaction.tx_id;
   Net.Endpoint.broadcast t.server.Server.endpoint ~to_:t.others
     (Lazy_ws { ws; started_at; committed_at = now t })
 
@@ -73,14 +72,14 @@ let apply_remote t ws ~started_at ~committed_at =
     (* §7 hazard: this remote update ran concurrently with a local update
        of the same item — neither site saw the other. *)
     let conflicting (item, _) =
-      match Hashtbl.find_opt t.local_commits item with
+      match Analysis.Int_tbl.find_opt t.local_commits item with
       | Some (local_start, local_commit) ->
         Sim.Sim_time.(started_at < local_commit) && Sim.Sim_time.(local_start < committed_at)
       | None -> false
     in
     if List.exists conflicting writes then begin
       t.cross_site_conflicts <- t.cross_site_conflicts + 1;
-      tr t "cross_site_conflict" [ ("tx", string_of_int tx) ]
+      tr_tx t "cross_site_conflict" tx
     end;
     (* Propagation lag: how long the remote commit stayed invisible here. *)
     observe_phase t t.h_apply ~name:"apply" ~tx ~from_:committed_at ~until:(now t);
@@ -91,7 +90,7 @@ let apply_remote t ws ~started_at ~committed_at =
     Db.Db_engine.write_io db ~count:(List.length writes) ~factor:(Db.Db_engine.async_factor db)
       ~k:(fun () -> ());
     Obs.Registry.inc t.c_remote_applies;
-    tr t "apply" [ ("tx", string_of_int tx) ]
+    tr_tx t "apply" tx
   end
 
 let serving t = Sim.Process.alive t.server.Server.process && t.ready
@@ -129,7 +128,9 @@ let finish_commit t tx ~started_at ~on_response =
   let writes = ws.Db.Transaction.write_values in
   let count = List.length writes in
   Db.Db_engine.install_writes db writes;
-  List.iter (fun (item, _) -> Hashtbl.replace t.local_commits item (started_at, now t)) writes;
+  List.iter
+    (fun (item, _) -> Analysis.Int_tbl.replace t.local_commits item (started_at, now t))
+    writes;
   Db.Testable_tx.record t.view id Db.Testable_tx.Committed;
   Db.Testable_tx.record (Db.Db_engine.testable db) id Db.Testable_tx.Committed;
   let release () = Db.Lock_table.release_all (Db.Db_engine.locks db) ~tx:id in
@@ -142,7 +143,7 @@ let finish_commit t tx ~started_at ~on_response =
       ~k:
         (guard t (fun () ->
              observe_phase t t.h_flush ~name:"flush" ~tx:id ~from_:commit_at ~until:(now t);
-             tr t "logged" [ ("tx", string_of_int id) ]));
+             tr_tx t "logged" id));
     Db.Db_engine.write_io db ~count ~factor:(Db.Db_engine.async_factor db) ~k:(fun () -> ());
     release ();
     if writes <> [] then propagate t ws ~started_at
@@ -161,7 +162,7 @@ let finish_commit t tx ~started_at ~on_response =
       ~k:
         (guard t (fun () ->
              observe_phase t t.h_flush ~name:"flush" ~tx:id ~from_:commit_at ~until:(now t);
-             tr t "logged" [ ("tx", string_of_int id) ];
+             tr_tx t "logged" id;
              flushed := true;
              maybe_finish ()));
     Db.Db_engine.write_io db ~count ~factor:1.0
@@ -176,12 +177,12 @@ let submit t tx ~on_response =
     if Db.Transaction.is_update tx && Db.Db_engine.disk_full t.server.Server.db then begin
       (* Graceful degradation under a full disk: refuse new update work
          with a distinct abort; reads and remote propagation continue. *)
-      tr t "disk_full_abort" [ ("tx", string_of_int id) ];
+      tr_tx t "disk_full_abort" id;
       Db.Db_engine.note_degraded t.server.Server.db;
       on_response Db.Testable_tx.Aborted
     end
     else begin
-    tr t "submit" [ ("tx", string_of_int id) ];
+    tr_tx t "submit" id;
     let started_at = now t in
     execute_ops t tx ~k:(fun result ->
         observe_phase t t.h_execute ~name:"execute" ~tx:id ~from_:started_at ~until:(now t);
@@ -218,7 +219,7 @@ let create server ~group ~mode ~registry ~tracer ~trace =
       trace;
       others;
       view = Db.Testable_tx.create ();
-      local_commits = Hashtbl.create 256;
+      local_commits = Analysis.Int_tbl.create 256;
       ready = true;
       deadlock_aborts = 0;
       cross_site_conflicts = 0;
@@ -240,7 +241,7 @@ let create server ~group ~mode ~registry ~tracer ~trace =
       | _ -> false);
   Sim.Process.on_kill server.Server.process (fun () ->
       t.ready <- false;
-      Hashtbl.reset t.local_commits;
+      Analysis.Int_tbl.reset t.local_commits;
       Db.Testable_tx.reset t.view);
   Sim.Process.on_restart server.Server.process (fun () -> recover t);
   t

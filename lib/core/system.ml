@@ -57,9 +57,9 @@ type t = {
   replicas : replica array;
   mutable submitted : int;
   mutable acked_rev : ack list;
-  acked_ids : (Db.Transaction.id, unit) Hashtbl.t;
+  acked_ids : unit Analysis.Int_tbl.t;
   mutable subs_rev : submission list;
-  sub_ids : (Db.Transaction.id, submission) Hashtbl.t; (* first submission per id *)
+  sub_ids : submission Analysis.Int_tbl.t; (* first submission per id *)
   crashes : Sim.Sim_time.t list ref array;
   recoveries : Sim.Sim_time.t list ref array;
   mutable max_simultaneously_down : int;
@@ -98,7 +98,7 @@ let submit t ?on_response ~delegate tx =
   let submitted_at = Sim.Engine.now t.engine in
   (* First submission of each id wins: a client retry of a decided tx must
      not resurrect it as "undecided" in the liveness oracle's books. *)
-  if not (Hashtbl.mem t.sub_ids tx.Db.Transaction.id) then begin
+  if not (Analysis.Int_tbl.mem t.sub_ids tx.Db.Transaction.id) then begin
     let sub =
       {
         sub_tx = tx.Db.Transaction.id;
@@ -107,14 +107,14 @@ let submit t ?on_response ~delegate tx =
         sub_delegate_serving = serving t delegate;
       }
     in
-    Hashtbl.replace t.sub_ids tx.Db.Transaction.id sub;
+    Analysis.Int_tbl.replace t.sub_ids tx.Db.Transaction.id sub;
     t.subs_rev <- sub :: t.subs_rev
   end;
   let respond outcome =
     (* Retried transactions answer at most once into the books. *)
-    if not (Hashtbl.mem t.acked_ids tx.Db.Transaction.id) then begin
+    if not (Analysis.Int_tbl.mem t.acked_ids tx.Db.Transaction.id) then begin
       let acked_at = Sim.Engine.now t.engine in
-      Hashtbl.replace t.acked_ids tx.Db.Transaction.id ();
+      Analysis.Int_tbl.replace t.acked_ids tx.Db.Transaction.id ();
       t.acked_rev <-
         {
           tx = tx.Db.Transaction.id;
@@ -125,18 +125,16 @@ let submit t ?on_response ~delegate tx =
         :: t.acked_rev;
       Workload.Metrics.record_response t.metrics ~submitted:submitted_at;
       let latency = Sim.Sim_time.diff acked_at submitted_at in
-      Obs.Tracer.complete t.obs_tracer ~name:"txn"
-        ~cat:(technique_name t.technique)
-        ~tid:delegate ~ts:submitted_at ~dur:latency
-        ~args:
-          [
-            ("tx", string_of_int tx.Db.Transaction.id);
-            ( "outcome",
-              match outcome with
-              | Db.Testable_tx.Committed -> "committed"
-              | Db.Testable_tx.Aborted -> "aborted" );
-          ]
-        ();
+      if Obs.Tracer.enabled t.obs_tracer then
+        Obs.Tracer.complete t.obs_tracer ~name:"txn"
+          ~cat:(technique_name t.technique)
+          ~tid:delegate ~ts:submitted_at ~dur:latency
+          ~args:
+            [
+              ("tx", string_of_int tx.Db.Transaction.id);
+              ("outcome", Db.Testable_tx.outcome_to_string outcome);
+            ]
+          ();
       match outcome with
       | Db.Testable_tx.Committed ->
         Obs.Registry.inc t.c_committed;
@@ -251,9 +249,9 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
     replicas;
     submitted = 0;
     acked_rev = [];
-    acked_ids = Hashtbl.create 1024;
+    acked_ids = Analysis.Int_tbl.create 1024;
     subs_rev = [];
-    sub_ids = Hashtbl.create 1024;
+    sub_ids = Analysis.Int_tbl.create 1024;
     crashes = Array.init n (fun _ -> ref []);
     recoveries = Array.init n (fun _ -> ref []);
     max_simultaneously_down = 0;
@@ -308,8 +306,8 @@ let recover t i =
 let submitted t = t.submitted
 let acked t = List.rev t.acked_rev
 let submissions t = List.rev t.subs_rev
-let submission_of t id = Hashtbl.find_opt t.sub_ids id
-let acked_id t id = Hashtbl.mem t.acked_ids id
+let submission_of t id = Analysis.Int_tbl.find_opt t.sub_ids id
+let acked_id t id = Analysis.Int_tbl.mem t.acked_ids id
 
 let has_ordering_layer t =
   match t.technique with Dsm _ -> true | Lazy _ | Two_pc -> false

@@ -1,3 +1,5 @@
+module Int_tbl = Analysis.Int_tbl
+
 type Net.Message.payload +=
   | Tpc_prepare of { tx_id : Db.Transaction.id; writes : (int * int) list; coordinator : int }
   | Tpc_vote of { tx_id : Db.Transaction.id; yes : bool }
@@ -32,8 +34,8 @@ type t = {
   others : Net.Node_id.t list;
   view : Db.Testable_tx.t;
   prepared_log : prep_record Store.Stable_storage.t;
-  prepared : (Db.Transaction.id, prep_record) Hashtbl.t;  (* in doubt *)
-  coordinating : (Db.Transaction.id, coord_state) Hashtbl.t;
+  prepared : prep_record Int_tbl.t;  (* in doubt, by transaction id *)
+  coordinating : coord_state Int_tbl.t;
   mutable ready : bool;
   mutable deadlock_aborts : int;
   mutable vote_timeouts : int;
@@ -54,6 +56,15 @@ let lock_timeout = Sim.Sim_time.span_ms 300.
 let vote_timeout = Sim.Sim_time.span_s 1.
 
 let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
+
+(* Per-transaction entries: their attribute strings are built only when the
+   trace records. *)
+let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
+
+let tr_outcome t kind tx outcome =
+  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind tx
+    ~outcome:(Db.Testable_tx.outcome_to_string outcome)
+
 let guard t k = Sim.Process.guard t.server.Server.process k
 let db t = t.server.Server.db
 let locks t = Db.Db_engine.locks (db t)
@@ -65,15 +76,9 @@ let now t = Sim.Engine.now (Db.Db_engine.engine (db t))
 let observe_phase t h ~name ~tx ~from_ ~until =
   let dur = Sim.Sim_time.diff until from_ in
   Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete t.o_tracer ~name
+  Obs.Tracer.complete_tx t.o_tracer ~name
     ~cat:(Safety.to_string Safety.Two_safe)
-    ~tid:t.server.Server.index ~ts:from_ ~dur
-    ~args:[ ("tx", string_of_int tx) ]
-    ()
-
-let outcome_string = function
-  | Db.Testable_tx.Committed -> "committed"
-  | Db.Testable_tx.Aborted -> "aborted"
+    ~tid:t.server.Server.index ~ts:from_ ~dur tx
 
 let node_of_index t index = List.find (fun n -> Net.Node_id.index n = index) t.group
 let send t dst payload = Net.Endpoint.send t.server.Server.endpoint ~dst payload
@@ -83,19 +88,19 @@ let record_outcome t tx outcome =
   if not (Db.Testable_tx.already_processed t.view tx) then begin
     Db.Testable_tx.record t.view tx outcome;
     Db.Testable_tx.record (Db.Db_engine.testable (db t)) tx outcome;
-    tr t "decide" [ ("tx", string_of_int tx); ("outcome", outcome_string outcome) ]
+    tr_outcome t "decide" tx outcome
   end
 
 (* ---- Coordinator ---- *)
 
 let coordinator_decide t tx_id commit =
-  match Hashtbl.find_opt t.coordinating tx_id with
+  match Int_tbl.find_opt t.coordinating tx_id with
   | None -> ()
   | Some c ->
     if not c.c_decided then begin
       c.c_decided <- true;
-      Hashtbl.remove t.coordinating tx_id;
-      Hashtbl.remove t.prepared tx_id;
+      Int_tbl.remove t.coordinating tx_id;
+      Int_tbl.remove t.prepared tx_id;
       let decided_at = now t in
       observe_phase t t.h_vote_gather ~name:"votes" ~tx:tx_id ~from_:c.c_voting_from
         ~until:decided_at;
@@ -115,7 +120,7 @@ let coordinator_decide t tx_id commit =
             (guard t (fun () ->
                  observe_phase t t.h_decision_flush ~name:"decision_flush" ~tx:tx_id
                    ~from_:decided_at ~until:(now t);
-                 tr t "respond" [ ("tx", string_of_int tx_id); ("outcome", "committed") ];
+                 tr_outcome t "respond" tx_id Db.Testable_tx.Committed;
                  Obs.Registry.inc t.c_ack_after_disk;
                  c.c_respond Db.Testable_tx.Committed;
                  List.iter
@@ -127,7 +132,7 @@ let coordinator_decide t tx_id commit =
       else begin
         record_outcome t tx_id Db.Testable_tx.Aborted;
         Db.Db_engine.log_commit_quiet (db t) ~tx:tx_id ~decision:Db.Certifier.Abort ~writes:[];
-        tr t "respond" [ ("tx", string_of_int tx_id); ("outcome", "aborted") ];
+        tr_outcome t "respond" tx_id Db.Testable_tx.Aborted;
         c.c_respond Db.Testable_tx.Aborted;
         List.iter (fun p -> send t p (Tpc_decision { tx_id; commit = false; writes = [] })) t.others;
         release ()
@@ -148,7 +153,7 @@ let start_two_phase_commit t tx ~on_response =
       c_voting_from = started_at;
     }
   in
-  Hashtbl.replace t.coordinating tx_id c;
+  Int_tbl.replace t.coordinating tx_id c;
   (* Force the coordinator's own prepare record, then solicit votes. *)
   let self = t.server.Server.index in
   Store.Stable_storage.append t.prepared_log { p_tx = tx_id; p_writes = writes; p_coord = self }
@@ -160,16 +165,16 @@ let start_two_phase_commit t tx ~on_response =
            Obs.Registry.inc t.c_prepares_sent;
            List.iter (fun p -> send t p (Tpc_prepare { tx_id; writes; coordinator = self })) t.others));
   Sim.Process.after t.server.Server.process vote_timeout (fun () ->
-      match Hashtbl.find_opt t.coordinating tx_id with
+      match Int_tbl.find_opt t.coordinating tx_id with
       | Some c when not c.c_decided ->
         t.vote_timeouts <- t.vote_timeouts + 1;
-        tr t "vote_timeout" [ ("tx", string_of_int tx_id) ];
+        tr_tx t "vote_timeout" tx_id;
         coordinator_decide t tx_id false
       | Some _ | None -> ())
 
 let handle_vote t src tx_id yes =
   Obs.Registry.inc t.c_votes;
-  match Hashtbl.find_opt t.coordinating tx_id with
+  match Int_tbl.find_opt t.coordinating tx_id with
   | None -> ()
   | Some c ->
     if not c.c_decided then begin
@@ -184,7 +189,7 @@ let handle_vote t src tx_id yes =
 (* ---- Participant ---- *)
 
 let apply_decision t tx_id commit writes =
-  Hashtbl.remove t.prepared tx_id;
+  Int_tbl.remove t.prepared tx_id;
   if commit then begin
     Db.Db_engine.install_writes (db t) writes;
     record_outcome t tx_id Db.Testable_tx.Committed;
@@ -223,11 +228,11 @@ let handle_prepare t tx_id writes coordinator =
         granted_all := true;
         if (not !abandoned) && not (Db.Testable_tx.already_processed t.view tx_id) then begin
           let record = { p_tx = tx_id; p_writes = writes; p_coord = coordinator } in
-          Hashtbl.replace t.prepared tx_id record;
+          Int_tbl.replace t.prepared tx_id record;
           Store.Stable_storage.append t.prepared_log record
             ~on_durable:
               (guard t (fun () ->
-                   if Hashtbl.mem t.prepared tx_id then begin
+                   if Int_tbl.mem t.prepared tx_id then begin
                      observe_phase t t.h_participant_prepare ~name:"participant_prepare"
                        ~tx:tx_id ~from_:prepare_in ~until:(now t);
                      send t coord_node (Tpc_vote { tx_id; yes = true })
@@ -247,7 +252,7 @@ let handle_prepare t tx_id writes coordinator =
 
 let handle_decision t tx_id commit writes =
   if not (Db.Testable_tx.already_processed t.view tx_id) then apply_decision t tx_id commit writes
-  else Hashtbl.remove t.prepared tx_id
+  else Int_tbl.remove t.prepared tx_id
 
 let handle_decision_req t src tx_id =
   match Db.Testable_tx.find t.view tx_id with
@@ -302,25 +307,25 @@ let submit t tx ~on_response =
       (* Graceful degradation under a full disk: refuse to coordinate new
          update work with a distinct abort; reads and participant traffic
          continue. *)
-      tr t "disk_full_abort" [ ("tx", string_of_int id) ];
+      tr_tx t "disk_full_abort" id;
       Db.Db_engine.note_degraded (db t);
       on_response Db.Testable_tx.Aborted
     end
     else begin
-    tr t "submit" [ ("tx", string_of_int id) ];
+    tr_tx t "submit" id;
     execute_ops t tx ~k:(fun result ->
         match result with
         | `Deadlock ->
           t.deadlock_aborts <- t.deadlock_aborts + 1;
           Db.Lock_table.release_all (locks t) ~tx:id;
           record_outcome t id Db.Testable_tx.Aborted;
-          tr t "respond" [ ("tx", string_of_int id); ("outcome", "aborted") ];
+          tr_outcome t "respond" id Db.Testable_tx.Aborted;
           on_response Db.Testable_tx.Aborted
         | `Done ->
           if Db.Transaction.is_update tx then start_two_phase_commit t tx ~on_response
           else begin
             Db.Lock_table.release_all (locks t) ~tx:id;
-            tr t "respond" [ ("tx", string_of_int id); ("outcome", "committed") ];
+            tr_outcome t "respond" id Db.Testable_tx.Committed;
             on_response Db.Testable_tx.Committed
           end)
     end
@@ -329,7 +334,7 @@ let submit t tx ~on_response =
 (* ---- Recovery ---- *)
 
 let resolve_in_doubt t =
-  Analysis.Det_tbl.iter ~cmp:Int.compare
+  Int_tbl.iter_sorted
     (fun tx_id record -> send t (node_of_index t record.p_coord) (Tpc_decision_req { tx_id }))
     t.prepared
 
@@ -338,7 +343,7 @@ let rec recover t =
   if report.Db.Db_engine.repairs <> [] then
     tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
   Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable (db t)));
-  Hashtbl.reset t.prepared;
+  Int_tbl.reset t.prepared;
   (* Re-discover in-doubt transactions: durably prepared, no decision on
      disk. Transactions this server itself coordinated are resolved by
      presumed abort (the crash interrupted the vote); the rest stay blocked
@@ -356,8 +361,8 @@ let rec recover t =
             t.others
         end
         else begin
-          Hashtbl.replace t.prepared record.p_tx record;
-          tr t "in_doubt" [ ("tx", string_of_int record.p_tx) ]
+          Int_tbl.replace t.prepared record.p_tx record;
+          tr_tx t "in_doubt" record.p_tx
         end
       end)
     (Store.Stable_storage.durable_records t.prepared_log);
@@ -367,7 +372,7 @@ let rec recover t =
 
 and arm_in_doubt_retry t =
   Sim.Process.periodic t.server.Server.process ~every:(Sim.Sim_time.span_ms 500.) (fun () ->
-      if Hashtbl.length t.prepared > 0 then resolve_in_doubt t)
+      if Int_tbl.length t.prepared > 0 then resolve_in_doubt t)
 
 let create server ~group ~registry ~tracer ~trace =
   let self = Net.Endpoint.id server.Server.endpoint in
@@ -392,8 +397,8 @@ let create server ~group ~registry ~tracer ~trace =
       others;
       view = Db.Testable_tx.create ();
       prepared_log;
-      prepared = Hashtbl.create 64;
-      coordinating = Hashtbl.create 64;
+      prepared = Int_tbl.create 64;
+      coordinating = Int_tbl.create 64;
       ready = true;
       deadlock_aborts = 0;
       vote_timeouts = 0;
@@ -427,8 +432,8 @@ let create server ~group ~registry ~tracer ~trace =
   Sim.Process.on_kill server.Server.process (fun () ->
       t.ready <- false;
       Store.Stable_storage.crash prepared_log;
-      Hashtbl.reset t.coordinating;
-      Hashtbl.reset t.prepared;
+      Int_tbl.reset t.coordinating;
+      Int_tbl.reset t.prepared;
       Db.Testable_tx.reset t.view);
   Sim.Process.on_restart server.Server.process (fun () -> recover t);
   (* A participant whose decision message is lost on the wire must not stay
@@ -445,5 +450,5 @@ let committed t id =
 let committed_count t = Db.Testable_tx.committed_count t.view
 let deadlock_aborts t = t.deadlock_aborts
 let vote_timeouts t = t.vote_timeouts
-let in_doubt t = Hashtbl.length t.prepared
+let in_doubt t = Int_tbl.length t.prepared
 let break_early_decision t = t.early_decision_broken <- true

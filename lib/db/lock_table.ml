@@ -1,3 +1,5 @@
+module Int_tbl = Analysis.Int_tbl
+
 type mode = Shared | Exclusive
 
 type request = { r_tx : int; r_mode : mode; r_granted : unit -> unit }
@@ -5,40 +7,40 @@ type request = { r_tx : int; r_mode : mode; r_granted : unit -> unit }
 type item_locks = { mutable holders : (int * mode) list; queue : request Queue.t }
 
 type t = {
-  items : (int, item_locks) Hashtbl.t;
-  held_by : (int, int list ref) Hashtbl.t;  (* tx -> items held *)
-  queued_on : (int, int list ref) Hashtbl.t;  (* tx -> items with a queued request *)
+  items : item_locks Int_tbl.t;
+  held_by : int list ref Int_tbl.t;  (* tx -> items held *)
+  queued_on : int list ref Int_tbl.t;  (* tx -> items with a queued request *)
   mutable waiting : int;
   mutable deadlocks : int;
 }
 
 let create () =
   {
-    items = Hashtbl.create 256;
-    held_by = Hashtbl.create 64;
-    queued_on = Hashtbl.create 64;
+    items = Int_tbl.create 256;
+    held_by = Int_tbl.create 64;
+    queued_on = Int_tbl.create 64;
     waiting = 0;
     deadlocks = 0;
   }
 
 let item_locks t item =
-  match Hashtbl.find_opt t.items item with
+  match Int_tbl.find_opt t.items item with
   | Some l -> l
   | None ->
     let l = { holders = []; queue = Queue.create () } in
-    Hashtbl.replace t.items item l;
+    Int_tbl.replace t.items item l;
     l
 
 let multiset_add tbl key v =
-  match Hashtbl.find_opt tbl key with
+  match Int_tbl.find_opt tbl key with
   | Some l -> if not (List.mem v !l) then l := v :: !l
-  | None -> Hashtbl.replace tbl key (ref [ v ])
+  | None -> Int_tbl.replace tbl key (ref [ v ])
 
 let multiset_remove tbl key v =
-  match Hashtbl.find_opt tbl key with
+  match Int_tbl.find_opt tbl key with
   | Some l ->
     l := List.filter (fun x -> x <> v) !l;
-    if !l = [] then Hashtbl.remove tbl key
+    if !l = [] then Int_tbl.remove tbl key
   | None -> ()
 
 let held_mode locks tx = List.assoc_opt tx locks.holders
@@ -74,23 +76,23 @@ let blockers locks tx =
   Queue.fold (fun acc r -> if r.r_tx <> tx then r.r_tx :: acc else acc) holder_blockers locks.queue
 
 let edges_of t waiter =
-  match Hashtbl.find_opt t.queued_on waiter with
+  match Int_tbl.find_opt t.queued_on waiter with
   | None -> []
   | Some items ->
     List.concat_map
       (fun item ->
-        match Hashtbl.find_opt t.items item with
+        match Int_tbl.find_opt t.items item with
         | Some locks -> blockers locks waiter
         | None -> [])
       !items
 
 let would_deadlock t ~tx ~item =
-  let visited = Hashtbl.create 16 in
+  let visited = Int_tbl.create 16 in
   let rec reaches_tx node =
     node = tx
-    || (not (Hashtbl.mem visited node))
+    || (not (Int_tbl.mem visited node))
        && begin
-         Hashtbl.replace visited node ();
+         Int_tbl.replace visited node ();
          List.exists reaches_tx (edges_of t node)
        end
   in
@@ -126,23 +128,23 @@ let acquire t ~tx ~item ~mode ~granted =
 
 let release_all t ~tx =
   let touched = ref [] in
-  (match Hashtbl.find_opt t.held_by tx with
+  (match Int_tbl.find_opt t.held_by tx with
    | Some items ->
      List.iter
        (fun item ->
-         match Hashtbl.find_opt t.items item with
+         match Int_tbl.find_opt t.items item with
          | Some locks ->
            locks.holders <- List.remove_assoc tx locks.holders;
            touched := item :: !touched
          | None -> ())
        !items;
-     Hashtbl.remove t.held_by tx
+     Int_tbl.remove t.held_by tx
    | None -> ());
-  (match Hashtbl.find_opt t.queued_on tx with
+  (match Int_tbl.find_opt t.queued_on tx with
    | Some items ->
      List.iter
        (fun item ->
-         match Hashtbl.find_opt t.items item with
+         match Int_tbl.find_opt t.items item with
          | Some locks ->
            let keep = Queue.create () in
            Queue.iter
@@ -153,17 +155,17 @@ let release_all t ~tx =
            touched := item :: !touched
          | None -> ())
        !items;
-     Hashtbl.remove t.queued_on tx
+     Int_tbl.remove t.queued_on tx
    | None -> ());
   List.iter
     (fun item ->
-      match Hashtbl.find_opt t.items item with
+      match Int_tbl.find_opt t.items item with
       | Some locks -> dispatch t item locks
       | None -> ())
     (List.sort_uniq Int.compare !touched)
 
 let holds t ~tx ~item =
-  match Hashtbl.find_opt t.items item with
+  match Int_tbl.find_opt t.items item with
   | Some locks -> List.mem_assoc tx locks.holders
   | None -> false
 

@@ -5,9 +5,8 @@ let outcome_equal a b =
   | Committed, Committed | Aborted, Aborted -> true
   | Committed, Aborted | Aborted, Committed -> false
 
-let pp_outcome ppf = function
-  | Committed -> Format.pp_print_string ppf "committed"
-  | Aborted -> Format.pp_print_string ppf "aborted"
+let outcome_to_string = function Committed -> "committed" | Aborted -> "aborted"
+let pp_outcome ppf o = Format.pp_print_string ppf (outcome_to_string o)
 
 (* One byte per id, in pages of [page_size] consecutive ids: '\000' for
    none recorded, '\001' committed, '\002' aborted. Ids come in a few

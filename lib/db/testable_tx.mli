@@ -11,6 +11,9 @@
 type outcome = Committed | Aborted
 
 val outcome_equal : outcome -> outcome -> bool
+val outcome_to_string : outcome -> string
+(** ["committed"] or ["aborted"], the form traces and spans carry. *)
+
 val pp_outcome : Format.formatter -> outcome -> unit
 
 type t

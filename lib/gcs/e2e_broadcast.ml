@@ -23,7 +23,7 @@ module Make (V : Replicated_log.VALUE) = struct
     (* Deliveries made minus acks received, per slot: a batched slot is
        acknowledged (and the durable cursor advanced past it) only once the
        application acked every value it carried. Volatile. *)
-    outstanding : (int, int ref) Hashtbl.t;
+    outstanding : int ref Analysis.Int_tbl.t;
     mutable next_seq : int;
     mutable delivered : int;
     delivery_delay : Delivery_delay.t;
@@ -50,9 +50,9 @@ module Make (V : Replicated_log.VALUE) = struct
     if (not duplicate) && slot >= Store.Durable_cell.read t.cursor then begin
       t.delivered <- t.delivered + 1;
       Obs.Registry.inc t.m_delivered;
-      (match Hashtbl.find_opt t.outstanding slot with
+      (match Analysis.Int_tbl.find_opt t.outstanding slot with
        | Some r -> incr r
-       | None -> Hashtbl.replace t.outstanding slot (ref 1));
+       | None -> Analysis.Int_tbl.replace t.outstanding slot (ref 1));
       t.deliver slot value
     end
 
@@ -67,12 +67,12 @@ module Make (V : Replicated_log.VALUE) = struct
       entries
 
   let ack t token =
-    match Hashtbl.find_opt t.outstanding token with
+    match Analysis.Int_tbl.find_opt t.outstanding token with
     | None -> ()
     | Some r ->
       decr r;
       if !r <= 0 then begin
-        Hashtbl.remove t.outstanding token;
+        Analysis.Int_tbl.remove t.outstanding token;
         let current = Store.Durable_cell.read t.cursor in
         if token + 1 > current then begin
           Obs.Registry.inc t.m_acks;
@@ -118,7 +118,7 @@ module Make (V : Replicated_log.VALUE) = struct
         deliver;
         seen_uids = Uid_set.create ();
         unstable = Uid_tbl.create 16;
-        outstanding = Hashtbl.create 16;
+        outstanding = Analysis.Int_tbl.create 16;
         next_seq = 0;
         delivered = 0;
         delivery_delay;
@@ -149,7 +149,7 @@ module Make (V : Replicated_log.VALUE) = struct
         Store.Durable_cell.crash cursor;
         Uid_set.reset t.seen_uids;
         Uid_tbl.reset t.unstable;
-        Hashtbl.reset t.outstanding);
+        Analysis.Int_tbl.reset t.outstanding);
     Sim.Process.on_restart process (fun () ->
         t.next_seq <- 0;
         arm_retransmit t);

@@ -1,4 +1,5 @@
 module Ballot = Paxos_core.Ballot
+module Int_tbl = Analysis.Int_tbl
 
 (* A leader flushes a partial batch this long after its first value. *)
 let batch_delay = Sim.Sim_time.span_ms 1.
@@ -57,13 +58,14 @@ module Make (V : VALUE) = struct
     p_ballot : Ballot.t;
     p_from : int;
     mutable p_voters : int list;  (* node indexes that promised *)
-    p_reports : (int, (Ballot.t * entry) list) Hashtbl.t;  (* slot -> reported accepts *)
+    p_reports : (Ballot.t * entry) list Int_tbl.t;  (* slot -> reported accepts *)
+    mutable p_top : int;  (* highest slot in [p_reports], -1 if none *)
   }
 
   type leading_state = {
     l_ballot : Ballot.t;
     mutable l_next_slot : int;
-    l_inflight : (int, entry * int list ref) Hashtbl.t;  (* slot -> entry, voters *)
+    l_inflight : (entry * int list ref) Int_tbl.t;  (* slot -> entry, voters *)
   }
 
   type leadership = Follower | Preparing of prepare_state | Leading of leading_state
@@ -84,10 +86,10 @@ module Make (V : VALUE) = struct
     mutable status : status;
     (* Acceptor: one global promise, per-slot accepted values. *)
     mutable promised : Ballot.t option;
-    accepted : (int, Ballot.t * entry) Hashtbl.t;
+    accepted : (Ballot.t * entry) Int_tbl.t;
     mutable max_accepted_seen : int;
     (* Learner. *)
-    chosen : (int, entry) Hashtbl.t;
+    chosen : entry Int_tbl.t;
     mutable first_unchosen : int;
     mutable next_deliver : int;
     mutable max_chosen_seen : int;
@@ -119,7 +121,7 @@ module Make (V : VALUE) = struct
   let break_no_accept_retransmit m = m.accept_retransmit_broken <- true
 
   let chosen_at m slot =
-    match Hashtbl.find_opt m.chosen slot with
+    match Int_tbl.find_opt m.chosen slot with
     | None -> None
     | Some e -> Some (entry_values e)
 
@@ -133,7 +135,7 @@ module Make (V : VALUE) = struct
   let note_ballot m (b : Ballot.t) = if b.round > m.max_round then m.max_round <- b.round
 
   let record_accepted m slot (b, e) =
-    Hashtbl.replace m.accepted slot (b, e);
+    Int_tbl.replace m.accepted slot (b, e);
     if slot > m.max_accepted_seen then m.max_accepted_seen <- slot
 
   (* Slots are dense integers below a tracked high-water mark, so slot
@@ -145,7 +147,7 @@ module Make (V : VALUE) = struct
   let slot_range tbl ~from_slot ~until f =
     let acc = ref [] in
     for slot = until downto from_slot do
-      match Hashtbl.find_opt tbl slot with
+      match Int_tbl.find_opt tbl slot with
       | Some v -> acc := f slot v :: !acc
       | None -> ()
     done;
@@ -153,11 +155,11 @@ module Make (V : VALUE) = struct
 
   (* Acceptor state as a Paxos_core view for one slot. *)
   let slot_acceptor m slot : entry Paxos_core.acceptor =
-    { promised = m.promised; accepted = Hashtbl.find_opt m.accepted slot }
+    { promised = m.promised; accepted = Int_tbl.find_opt m.accepted slot }
 
   let deliver_ready m =
     let rec loop () =
-      match Hashtbl.find_opt m.chosen m.next_deliver with
+      match Int_tbl.find_opt m.chosen m.next_deliver with
       | None -> ()
       | Some e ->
         let slot = m.next_deliver in
@@ -168,11 +170,11 @@ module Make (V : VALUE) = struct
     loop ()
 
   let add_chosen m slot e =
-    if not (Hashtbl.mem m.chosen slot) then begin
+    if not (Int_tbl.mem m.chosen slot) then begin
       Obs.Registry.inc m.m_chosen;
-      Hashtbl.replace m.chosen slot e;
+      Int_tbl.replace m.chosen slot e;
       if slot > m.max_chosen_seen then m.max_chosen_seen <- slot;
-      while Hashtbl.mem m.chosen m.first_unchosen do
+      while Int_tbl.mem m.chosen m.first_unchosen do
         m.first_unchosen <- m.first_unchosen + 1
       done;
       deliver_ready m
@@ -209,16 +211,16 @@ module Make (V : VALUE) = struct
     take k []
 
   let window_room m (l : leading_state) =
-    Hashtbl.length l.l_inflight < m.tuning.Bcast_tuning.window
+    Int_tbl.length l.l_inflight < m.tuning.Bcast_tuning.window
 
   let ring_idle m (l : leading_state) =
-    Hashtbl.length l.l_inflight = 0 && Queue.is_empty m.pending
+    Int_tbl.length l.l_inflight = 0 && Queue.is_empty m.pending
 
   let rec send_accept m (l : leading_state) slot e =
     Obs.Registry.inc m.m_accepts_sent;
-    Hashtbl.replace l.l_inflight slot (e, ref []);
+    Int_tbl.replace l.l_inflight slot (e, ref []);
     Obs.Histogram.add m.m_batch_size (List.length (entry_values e));
-    Obs.Histogram.add m.m_window (Hashtbl.length l.l_inflight);
+    Obs.Histogram.add m.m_window (Int_tbl.length l.l_inflight);
     (match m.tuning.Bcast_tuning.dissemination with
      | Bcast_tuning.Broadcast -> broadcast m (Accept { b = l.l_ballot; slot; e })
      | Bcast_tuning.Ring -> ring_send m l.l_ballot slot e);
@@ -266,10 +268,10 @@ module Make (V : VALUE) = struct
   and ring_returned m (b : Ballot.t) slot =
     match m.leadership with
     | Leading l when Ballot.equal l.l_ballot b -> begin
-        match Hashtbl.find_opt l.l_inflight slot with
+        match Int_tbl.find_opt l.l_inflight slot with
         | None -> ()
         | Some (e, _) ->
-          Hashtbl.remove l.l_inflight slot;
+          Int_tbl.remove l.l_inflight slot;
           Option.iter Retransmit.progress m.accept_rt;
           add_chosen m slot e;
           if ring_idle m l then
@@ -293,7 +295,7 @@ module Make (V : VALUE) = struct
     else
     match m.leadership with
     | Leading l ->
-      Analysis.Det_tbl.iter ~cmp:Int.compare
+      Int_tbl.iter_sorted
         (fun slot (e, _) ->
           Obs.Registry.inc m.m_accept_resends;
           match m.tuning.Bcast_tuning.dissemination with
@@ -356,7 +358,15 @@ module Make (V : VALUE) = struct
     Obs.Registry.inc m.m_prepares;
     let b = { Ballot.round = m.max_round + 1; proposer = Net.Node_id.index m.self } in
     m.max_round <- b.round;
-    let ps = { p_ballot = b; p_from = m.first_unchosen; p_voters = []; p_reports = Hashtbl.create 16 } in
+    let ps =
+      {
+        p_ballot = b;
+        p_from = m.first_unchosen;
+        p_voters = [];
+        p_reports = Int_tbl.create 16;
+        p_top = -1;
+      }
+    in
     m.leadership <- Preparing ps;
     broadcast m (Prepare { b; from_slot = ps.p_from })
 
@@ -416,31 +426,38 @@ module Make (V : VALUE) = struct
 
   let finish_prepare m (ps : prepare_state) =
     let l =
-      { l_ballot = ps.p_ballot; l_next_slot = ps.p_from; l_inflight = Hashtbl.create 16 }
+      { l_ballot = ps.p_ballot; l_next_slot = ps.p_from; l_inflight = Int_tbl.create 16 }
     in
     m.leadership <- Leading l;
-    (* Determine the highest slot any report or local state mentions. *)
-    let top = ref (m.first_unchosen - 1) in
-    (Hashtbl.iter (fun slot _ -> if slot > !top then top := slot) ps.p_reports
-    [@lint.allow "D-hashtbl-iter" "max over slot keys is iteration-order independent"]);
-    (Hashtbl.iter (fun slot _ -> if slot > !top then top := slot) m.accepted
-    [@lint.allow "D-hashtbl-iter" "max over slot keys is iteration-order independent"]);
-    (Hashtbl.iter (fun slot _ -> if slot > !top then top := slot) m.chosen
-    [@lint.allow "D-hashtbl-iter" "max over slot keys is iteration-order independent"]);
-    for slot = ps.p_from to !top do
-      match Hashtbl.find_opt m.chosen slot with
+    (* The highest slot any report or local state mentions, and at least
+       [first_unchosen - 1]. Accepted slots leave their table only when
+       [max_accepted_seen] is reset with it, so that mark is exact;
+       [max_chosen_seen] can run ahead of [chosen] (a ring's commit
+       watermark), so the highest chosen slot is found by scanning down
+       from it to [first_unchosen]. *)
+    let rec top_chosen slot =
+      if slot < m.first_unchosen || Int_tbl.mem m.chosen slot then slot
+      else top_chosen (slot - 1)
+    in
+    let top =
+      Int.max
+        (Int.max (m.first_unchosen - 1) ps.p_top)
+        (Int.max m.max_accepted_seen (top_chosen m.max_chosen_seen))
+    in
+    for slot = ps.p_from to top do
+      match Int_tbl.find_opt m.chosen slot with
       | Some e -> broadcast m (Chosen { slot; e })
       | None ->
         let reports =
-          (match Hashtbl.find_opt ps.p_reports slot with
+          (match Int_tbl.find_opt ps.p_reports slot with
            | Some l -> List.map (fun (b, e) -> Some (b, e)) l
            | None -> [])
-          @ [ Hashtbl.find_opt m.accepted slot ]
+          @ [ Int_tbl.find_opt m.accepted slot ]
         in
         let e = match Paxos_core.value_to_propose reports with Some e -> e | None -> Noop in
         send_accept m l slot e
     done;
-    l.l_next_slot <- !top + 1;
+    l.l_next_slot <- top + 1;
     flush_pending m
 
   let handle_promise m src (b : Ballot.t) accepted chosen =
@@ -449,8 +466,9 @@ module Make (V : VALUE) = struct
       List.iter (fun (slot, e) -> add_chosen m slot e) chosen;
       List.iter
         (fun (slot, ab, ae) ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt ps.p_reports slot) in
-          Hashtbl.replace ps.p_reports slot ((ab, ae) :: prev))
+          let prev = Option.value ~default:[] (Int_tbl.find_opt ps.p_reports slot) in
+          Int_tbl.replace ps.p_reports slot ((ab, ae) :: prev);
+          if slot > ps.p_top then ps.p_top <- slot)
         accepted;
       let voter = Net.Node_id.index src in
       if not (List.mem voter ps.p_voters) then begin
@@ -478,14 +496,14 @@ module Make (V : VALUE) = struct
   let handle_accept_ok m src (b : Ballot.t) slot =
     match m.leadership with
     | Leading l when Ballot.equal l.l_ballot b -> begin
-        match Hashtbl.find_opt l.l_inflight slot with
+        match Int_tbl.find_opt l.l_inflight slot with
         | None -> ()
         | Some (e, voters) ->
           let voter = Net.Node_id.index src in
           if not (List.mem voter !voters) then begin
             voters := voter :: !voters;
             if List.length !voters >= m.quorum then begin
-              Hashtbl.remove l.l_inflight slot;
+              Int_tbl.remove l.l_inflight slot;
               Option.iter Retransmit.progress m.accept_rt;
               add_chosen m slot e;
               broadcast m (Chosen { slot; e });
@@ -524,8 +542,8 @@ module Make (V : VALUE) = struct
   let ring_note_commit m (b : Ballot.t) commit =
     if commit - 1 > m.max_chosen_seen then m.max_chosen_seen <- commit - 1;
     for slot = m.first_unchosen to commit - 1 do
-      if not (Hashtbl.mem m.chosen slot) then
-        match Hashtbl.find_opt m.accepted slot with
+      if not (Int_tbl.mem m.chosen slot) then
+        match Int_tbl.find_opt m.accepted slot with
         | Some (ab, ae) when Ballot.equal ab b -> add_chosen m slot ae
         | Some _ | None -> ()
     done
@@ -588,9 +606,9 @@ module Make (V : VALUE) = struct
 
   let wipe_volatile m =
     m.promised <- None;
-    Hashtbl.reset m.accepted;
+    Int_tbl.reset m.accepted;
     m.max_accepted_seen <- -1;
-    Hashtbl.reset m.chosen;
+    Int_tbl.reset m.chosen;
     m.leadership <- Follower;
     Queue.clear m.pending;
     m.first_unchosen <- 0;
@@ -616,7 +634,7 @@ module Make (V : VALUE) = struct
           end
         | D_accepted (slot, b, e) -> begin
             note_ballot m b;
-            match Hashtbl.find_opt m.accepted slot with
+            match Int_tbl.find_opt m.accepted slot with
             | Some (prev, _) when Ballot.compare prev b >= 0 -> ()
             | Some _ | None -> record_accepted m slot (b, e)
           end)
@@ -747,9 +765,9 @@ module Make (V : VALUE) = struct
         fd;
         status = Active;
         promised = None;
-        accepted = Hashtbl.create 64;
+        accepted = Int_tbl.create 64;
         max_accepted_seen = -1;
-        chosen = Hashtbl.create 64;
+        chosen = Int_tbl.create 64;
         first_unchosen = 0;
         next_deliver = 0;
         max_chosen_seen = -1;
@@ -780,7 +798,7 @@ module Make (V : VALUE) = struct
              m.status = Active
              &&
              match m.leadership with
-             | Leading l -> Hashtbl.length l.l_inflight > 0
+             | Leading l -> Int_tbl.length l.l_inflight > 0
              | Preparing _ | Follower -> false)
            ~action:(fun () -> resend_inflight m)
            ());

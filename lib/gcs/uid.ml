@@ -1,7 +1,11 @@
 type t = { origin : int; incarnation : int; seq : int }
 
 let equal a b = a.origin = b.origin && a.incarnation = b.incarnation && a.seq = b.seq
-let hash = Hashtbl.hash
+
+(* An integer mix instead of the generic structural hash. The multiplier is
+   odd, so dense sequence numbers land in distinct buckets of any
+   power-of-two table. *)
+let hash u = (((u.seq * 65599) + u.incarnation) * 65599 + u.origin) land max_int
 
 let compare a b =
   match Int.compare a.origin b.origin with

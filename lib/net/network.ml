@@ -21,12 +21,12 @@ type t = {
   mutable nodes : registration option array;
   (* Partition as a map from node index to group number; unlisted nodes all
      share the implicit group [-1]. *)
-  mutable groups : (int, int) Hashtbl.t option;
+  mutable groups : int Analysis.Int_tbl.t option;
   blocked_links : (int * int, unit) Hashtbl.t;
   (* Overrides config.drop_probability while set (the nemesis loss window). *)
   mutable drop_override : float option;
   (* Destinations whose next transmitted message is delivered twice. *)
-  duplicate_next_to : (int, unit) Hashtbl.t;
+  duplicate_next_to : unit Analysis.Int_tbl.t;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -42,7 +42,7 @@ let create engine config =
     groups = None;
     blocked_links = Hashtbl.create 8;
     drop_override = None;
-    duplicate_next_to = Hashtbl.create 4;
+    duplicate_next_to = Analysis.Int_tbl.create 4;
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -65,7 +65,8 @@ let register net ~id ~process ?cpu handler =
   end;
   net.nodes.(index) <- Some { process; cpu; handler }
 
-let group_of groups index = match Hashtbl.find_opt groups index with Some g -> g | None -> -1
+let group_of groups index =
+  match Analysis.Int_tbl.find_opt groups index with Some g -> g | None -> -1
 
 let link_key src dst =
   let a = Node_id.index src and b = Node_id.index dst in
@@ -82,8 +83,10 @@ let reachable net src dst =
      || not (Hashtbl.mem net.blocked_links (link_key src dst)))
 
 let partition net groups =
-  let tbl = Hashtbl.create 16 in
-  List.iteri (fun g nodes -> List.iter (fun n -> Hashtbl.replace tbl (Node_id.index n) g) nodes) groups;
+  let tbl = Analysis.Int_tbl.create 16 in
+  List.iteri
+    (fun g nodes -> List.iter (fun n -> Analysis.Int_tbl.replace tbl (Node_id.index n) g) nodes)
+    groups;
   net.groups <- Some tbl
 
 (* A heal restores full connectivity: the partition goes away and so do
@@ -106,7 +109,7 @@ let set_drop net p =
 let drop_probability net =
   match net.drop_override with Some p -> p | None -> net.config.drop_probability
 
-let duplicate_next net dst = Hashtbl.replace net.duplicate_next_to (Node_id.index dst) ()
+let duplicate_next net dst = Analysis.Int_tbl.replace net.duplicate_next_to (Node_id.index dst) ()
 
 (* Delivery at the receiver: check the receiver is up and reachable at the
    delivery instant, charge receive CPU if configured, then hand over. *)
@@ -145,10 +148,10 @@ let lost net =
    down, partition). *)
 let take_duplicate net dst =
   let dst_index = Node_id.index dst in
-  Hashtbl.length net.duplicate_next_to > 0
-  && Hashtbl.mem net.duplicate_next_to dst_index
+  Analysis.Int_tbl.length net.duplicate_next_to > 0
+  && Analysis.Int_tbl.mem net.duplicate_next_to dst_index
   && begin
-    Hashtbl.remove net.duplicate_next_to dst_index;
+    Analysis.Int_tbl.remove net.duplicate_next_to dst_index;
     net.duplicated <- net.duplicated + 1;
     true
   end

@@ -37,6 +37,9 @@ let complete t ~name ~cat ~tid ~ts ~dur ?(args = []) () =
       }
       :: t.events_rev
 
+let complete_tx t ~name ~cat ~tid ~ts ~dur tx =
+  if t.enabled then complete t ~name ~cat ~tid ~ts ~dur ~args:[ ("tx", string_of_int tx) ] ()
+
 let instant t ~name ~cat ~tid ~ts ?(args = []) () =
   if t.enabled then
     t.events_rev <-

@@ -35,6 +35,19 @@ val complete :
   unit ->
   unit
 
+(** {!complete} with the one argument [("tx", string_of_int tx)], built only
+    when the tracer is enabled: on a disabled tracer a per-transaction span
+    allocates nothing. *)
+val complete_tx :
+  t ->
+  name:string ->
+  cat:string ->
+  tid:int ->
+  ts:Sim.Sim_time.t ->
+  dur:Sim.Sim_time.span ->
+  int ->
+  unit
+
 (** Record a point event at [ts]. *)
 val instant :
   t ->

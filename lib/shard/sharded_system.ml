@@ -91,7 +91,7 @@ type shard_state = {
   ss_metrics : Workload.Metrics.t;
   ss_xreg : Obs.Registry.t;
   ss_x : xcounters;
-  ss_coords : (int, coord) Hashtbl.t;
+  ss_coords : coord Analysis.Int_tbl.t;
   mutable ss_outbox : envelope list;  (** newest first; drained at each exchange. *)
   mutable ss_seq : int;
   mutable ss_gacks : gack list;  (** newest first. *)
@@ -124,7 +124,7 @@ let create cfg =
           ss_metrics = Workload.Metrics.create (System.engine sys);
           ss_xreg = xreg;
           ss_x = make_x xreg;
-          ss_coords = Hashtbl.create 64;
+          ss_coords = Analysis.Int_tbl.create 64;
           ss_outbox = [];
           ss_seq = 0;
           ss_gacks = [];
@@ -191,7 +191,7 @@ and handle_prepare t dst ~gtx ~probe ~home ~delegate =
     probe
 
 and handle_vote t home ~gtx ~commit =
-  match Hashtbl.find_opt t.states.(home).ss_coords gtx with
+  match Analysis.Int_tbl.find_opt t.states.(home).ss_coords gtx with
   | None -> ()
   | Some c ->
     if not c.c_decided then begin
@@ -249,7 +249,7 @@ and handle_decision t dst ~gtx ~home ~write ~delegate =
     write
 
 and handle_dec_ack t home ~gtx ~shard ~acked =
-  match Hashtbl.find_opt t.states.(home).ss_coords gtx with
+  match Analysis.Int_tbl.find_opt t.states.(home).ss_coords gtx with
   | None -> ()
   | Some c ->
     if acked then c.c_write_parts <- (shard, write_id gtx) :: c.c_write_parts
@@ -347,7 +347,7 @@ let submit t ?on_response ~delegate tx =
         c_write_parts = [];
       }
     in
-    Hashtbl.replace s.ss_coords tx.Db.Transaction.id c;
+    Analysis.Int_tbl.replace s.ss_coords tx.Db.Transaction.id c;
     Sim.Engine.schedule (System.engine s.ss_sys) ~delay:vote_timeout (fun () ->
         if not c.c_decided then begin
           Obs.Registry.inc s.ss_x.x_timeout;

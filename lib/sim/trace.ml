@@ -14,6 +14,12 @@ let record tr ~source ~kind attrs =
   if tr.enabled then
     tr.rev_entries <- { time = Engine.now tr.engine; source; kind; attrs } :: tr.rev_entries
 
+let record_tx tr ~source ~kind tx =
+  if tr.enabled then record tr ~source ~kind [ ("tx", string_of_int tx) ]
+
+let record_tx_outcome tr ~source ~kind tx ~outcome =
+  if tr.enabled then record tr ~source ~kind [ ("tx", string_of_int tx); ("outcome", outcome) ]
+
 let entries tr = List.rev tr.rev_entries
 let find_all tr ~kind = List.filter (fun e -> String.equal e.kind kind) (entries tr)
 let attr e key = List.assoc_opt key e.attrs

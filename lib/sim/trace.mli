@@ -26,6 +26,15 @@ val record : t -> source:string -> kind:string -> (string * string) list -> unit
 (** [record tr ~source ~kind attrs] appends an entry at the current virtual
     time (if recording is enabled). *)
 
+val record_tx : t -> source:string -> kind:string -> int -> unit
+(** [record_tx tr ~source ~kind tx] is
+    [record tr ~source ~kind [ ("tx", string_of_int tx) ]], except that the
+    attribute is built only when recording is enabled: on a disabled trace a
+    per-transaction step allocates nothing. *)
+
+val record_tx_outcome : t -> source:string -> kind:string -> int -> outcome:string -> unit
+(** {!record_tx} with a second attribute, [("outcome", outcome)]. *)
+
 val entries : t -> entry list
 (** All recorded entries, oldest first. *)
 

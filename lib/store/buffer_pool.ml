@@ -1,10 +1,13 @@
+module Int_tbl = Analysis.Int_tbl
+
 type model = Probabilistic of float | Lru of int
 
 (* The LRU cache pairs a hash table with a recency counter per page; on
-   eviction we scan for the minimum. Capacity is small enough in our
-   experiments (thousands of pages) that the O(n) eviction never shows up,
-   and the representation stays simple. *)
-type lru = { capacity : int; table : (int, int) Hashtbl.t; mutable tick : int }
+   eviction we look for the minimum. Ticks are strictly increasing, so the
+   victim is unique. The sorted walk costs O(n log n) per eviction; no
+   experiment uses the LRU model, and its tests keep a few pages, so the
+   representation stays simple. *)
+type lru = { capacity : int; table : int Int_tbl.t; mutable tick : int }
 
 type state = P of float | L of lru
 
@@ -18,29 +21,23 @@ let create rng model =
       P ratio
     | Lru capacity ->
       if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity must be positive";
-      L { capacity; table = Hashtbl.create (2 * capacity); tick = 0 }
+      L { capacity; table = Int_tbl.create (2 * capacity); tick = 0 }
   in
   { rng; state; hits = 0; misses = 0 }
 
 let touch lru page =
   lru.tick <- lru.tick + 1;
-  Hashtbl.replace lru.table page lru.tick
+  Int_tbl.replace lru.table page lru.tick
 
 let evict_if_full lru =
-  if Hashtbl.length lru.table > lru.capacity then begin
-    let victim = ref (-1) and oldest = ref max_int in
-    (Hashtbl.iter
-       (fun page tick ->
-         if tick < !oldest then begin
-           oldest := tick;
-           victim := page
-         end)
-       lru.table
-    [@lint.allow "D-hashtbl-iter"
-      "ticks are strictly increasing, so the minimum is unique and the scan \
-       is order-independent; this runs on every eviction, where Det_tbl's \
-       sort would cost O(n log n)"]);
-    if !victim >= 0 then Hashtbl.remove lru.table !victim
+  if Int_tbl.length lru.table > lru.capacity then begin
+    let victim, _ =
+      Int_tbl.fold_sorted
+        (fun page tick (victim, oldest) ->
+          if tick < oldest then (page, tick) else (victim, oldest))
+        lru.table (-1, max_int)
+    in
+    Int_tbl.remove lru.table victim
   end
 
 let install lru page =
@@ -52,7 +49,7 @@ let read pool ~page =
     match pool.state with
     | P ratio -> Sim.Rng.bool pool.rng ratio
     | L lru ->
-      if Hashtbl.mem lru.table page then begin
+      if Int_tbl.mem lru.table page then begin
         touch lru page;
         true
       end
@@ -72,7 +69,7 @@ let write pool ~page =
 let invalidate pool =
   match pool.state with
   | P _ -> ()
-  | L lru -> Hashtbl.reset lru.table
+  | L lru -> Int_tbl.reset lru.table
 
 let hits pool = pool.hits
 let misses pool = pool.misses

@@ -1,5 +1,5 @@
 (* Tests for the static-analysis pass (Lint) and the deterministic
-   iteration helper (Analysis.Det_tbl).
+   iteration helpers (Analysis.Det_tbl, Analysis.Int_tbl).
 
    The fixture corpus under lint_fixtures/ is additionally covered by a
    golden-output dune rule (lint_fixtures.expected); here we test the
@@ -321,6 +321,97 @@ let test_keyed_sorted_keys () =
        (fun (u : Quid.t) -> (u.origin, u.incarnation, u.seq))
        (Det_quid_tbl.sorted_keys ~cmp:Quid.compare t))
 
+(* ---- Int_tbl: the simulator's int-keyed table against the polymorphic one ---- *)
+
+type int_tbl_op = Replace of int * int | Remove of int | Find of int | Mem of int | Reset
+
+(* Ids from the clusters the simulator keys by: the dense block from 0,
+   negative sharded sub-transaction ids, [1_000_000 + g] convergence probes
+   and [1_000_000_000 + k] kill probes. *)
+let int_tbl_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 300;
+        map (fun g -> -((2 * g) + 1)) (int_range 0 100);
+        map (fun g -> -((2 * g) + 2)) (int_range 0 100);
+        map (fun g -> 1_000_000 + g) (int_range 0 20);
+        map (fun k -> 1_000_000_000 + k) (int_range 0 20);
+      ])
+
+let int_tbl_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (8, map2 (fun k v -> Replace (k, v)) int_tbl_key small_int);
+        (4, map (fun k -> Remove k) int_tbl_key);
+        (3, map (fun k -> Find k) int_tbl_key);
+        (3, map (fun k -> Mem k) int_tbl_key);
+        (1, pure Reset);
+      ])
+
+(* After every step the table answers every lookup, its length and its
+   sorted enumerations exactly as a polymorphic [Hashtbl] read through
+   [Det_tbl] does. *)
+let test_int_tbl_model =
+  QCheck2.Test.make ~name:"Int_tbl agrees with a polymorphic Hashtbl" ~count:300
+    QCheck2.Gen.(pair (int_range 1 64) (list_size (int_range 0 400) int_tbl_op))
+    (fun (size, ops) ->
+      let t = Analysis.Int_tbl.create size and m = Hashtbl.create size in
+      let keys =
+        List.sort_uniq Int.compare
+          (List.filter_map
+             (function Replace (k, _) | Remove k | Find k | Mem k -> Some k | Reset -> None)
+             ops)
+      in
+      let agree () =
+        let bindings = Analysis.Det_tbl.bindings ~cmp:Int.compare m in
+        Analysis.Int_tbl.length t = Hashtbl.length m
+        && List.for_all
+             (fun k ->
+               Analysis.Int_tbl.find_opt t k = Hashtbl.find_opt m k
+               && Analysis.Int_tbl.mem t k = Hashtbl.mem m k)
+             keys
+        && List.rev (Analysis.Int_tbl.fold_sorted (fun k v acc -> (k, v) :: acc) t []) = bindings
+        &&
+        let visited = ref [] in
+        Analysis.Int_tbl.iter_sorted (fun k v -> visited := (k, v) :: !visited) t;
+        List.rev !visited = bindings
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Replace (k, v) ->
+            Analysis.Int_tbl.replace t k v;
+            Hashtbl.replace m k v
+          | Remove k ->
+            Analysis.Int_tbl.remove t k;
+            Hashtbl.remove m k
+          | Find _ | Mem _ -> ()
+          | Reset ->
+            Analysis.Int_tbl.reset t;
+            Hashtbl.reset m);
+          agree ())
+        ops)
+
+(* Removing bindings from inside [iter_sorted] skips them, as [Det_tbl]
+   does; replicated logs and 2PC recovery rely on this when a visit
+   completes a later slot or transaction. *)
+let test_int_tbl_iter_removes () =
+  let t = Analysis.Int_tbl.create 4 in
+  List.iter (fun k -> Analysis.Int_tbl.replace t k (k * 10)) [ 5; 1; 3; 4; 2 ];
+  let seen = ref [] in
+  Analysis.Int_tbl.iter_sorted
+    (fun k v ->
+      seen := (k, v) :: !seen;
+      if k = 2 then Analysis.Int_tbl.remove t 4;
+      if k = 3 then Analysis.Int_tbl.replace t 9 90)
+    t;
+  Alcotest.(check (list (pair int int)))
+    "ascending, removed key skipped, added key unvisited"
+    [ (1, 10); (2, 20); (3, 30); (5, 50) ]
+    (List.rev !seen)
+
 (* ---- fixture corpus exactness (beyond the golden diff) ---- *)
 
 let expected_fixture_rule file =
@@ -391,6 +482,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_keyed_stream_det;
           Alcotest.test_case "sorted_keys in uid order" `Quick test_keyed_sorted_keys;
+        ] );
+      ( "int_tbl",
+        [
+          QCheck_alcotest.to_alcotest test_int_tbl_model;
+          Alcotest.test_case "iter_sorted under removal" `Quick test_int_tbl_iter_removes;
         ] );
       ( "typed tier",
         [

@@ -227,6 +227,56 @@ let test_tracer_disabled_records_nothing () =
   Obs.Tracer.instant tr ~name:"n" ~cat:"c" ~tid:0 ~ts:(Sim.Sim_time.of_us 1) ();
   check_bool "no events" true (Obs.Tracer.events tr = [])
 
+(* The per-transaction helpers the replicas call record exactly the entry
+   and span of the eager form they replaced, so traced output is unchanged. *)
+let test_tx_helpers_match_eager_form () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let a = Sim.Trace.create e and b = Sim.Trace.create e in
+  Sim.Trace.record_tx a ~source:"S1" ~kind:"deliver" 42;
+  Sim.Trace.record b ~source:"S1" ~kind:"deliver" [ ("tx", "42") ];
+  Sim.Trace.record_tx_outcome a ~source:"S2" ~kind:"respond" (-3) ~outcome:"aborted";
+  Sim.Trace.record b ~source:"S2" ~kind:"respond" [ ("tx", "-3"); ("outcome", "aborted") ];
+  check_string "same trace" (Sim.Trace.render b) (Sim.Trace.render a);
+  let ta = Obs.Tracer.create ~enabled:true () and tb = Obs.Tracer.create ~enabled:true () in
+  let ts = Sim.Sim_time.of_us 5 and dur = Sim.Sim_time.span_us 7 in
+  Obs.Tracer.complete_tx ta ~name:"wal" ~cat:"group-safe" ~tid:1 ~ts ~dur 42;
+  Obs.Tracer.complete tb ~name:"wal" ~cat:"group-safe" ~tid:1 ~ts ~dur ~args:[ ("tx", "42") ] ();
+  let render tr =
+    Obs.Chrome_trace.to_string
+      [ { Obs.Chrome_trace.pid = 1; name = "p"; events = Obs.Tracer.events tr } ]
+  in
+  check_string "same span" (render tb) (render ta)
+
+(* With both sinks created disabled, the trace and span helpers cost one
+   branch per call: no attribute string, pair or list cell is built. The
+   eager form they replaced builds all three before the sink looks at its
+   flag; it is measured too, so the probe is seen to register allocation.
+   As in test_sim's RNG test, the [Gc.minor_words] calls box a float
+   themselves; anything per call would cost >= 1024 words. *)
+let test_disabled_sinks_allocate_nothing () =
+  let e = Sim.Engine.create ~seed:1L () in
+  let trace = Sim.Trace.create ~enabled:false e in
+  let tracer = Obs.Tracer.create ~enabled:false () in
+  let ts = Sim.Sim_time.of_us 5 and dur = Sim.Sim_time.span_us 7 in
+  let words step =
+    step 0;
+    let before = Gc.minor_words () in
+    for tx = 1 to 1024 do
+      step tx
+    done;
+    Gc.minor_words () -. before
+  in
+  let nothing name step = check_bool (name ^ " allocates nothing") true (words step < 100.) in
+  nothing "Trace.record_tx" (fun tx -> Sim.Trace.record_tx trace ~source:"S1" ~kind:"deliver" tx);
+  nothing "Trace.record_tx_outcome" (fun tx ->
+      Sim.Trace.record_tx_outcome trace ~source:"S1" ~kind:"respond" tx ~outcome:"committed");
+  nothing "Tracer.complete_tx" (fun tx ->
+      Obs.Tracer.complete_tx tracer ~name:"wal" ~cat:"group-safe" ~tid:1 ~ts ~dur tx);
+  let eager tx = Sim.Trace.record trace ~source:"S1" ~kind:"deliver" [ ("tx", string_of_int tx) ] in
+  check_bool "the eager form allocates per call" true (words eager >= 1024. *. 6.);
+  check_int "nothing recorded" 0 (Sim.Trace.length trace);
+  check_bool "no spans" true (Obs.Tracer.events tracer = [])
+
 (* ---- Sampler ---- *)
 
 let test_sampler_records_and_validates () =
@@ -316,6 +366,10 @@ let () =
           Alcotest.test_case "byte stability" `Quick test_export_same_registry_same_bytes;
           Alcotest.test_case "chrome trace format" `Quick test_chrome_trace_format;
           Alcotest.test_case "disabled tracer" `Quick test_tracer_disabled_records_nothing;
+          Alcotest.test_case "tx helpers match the eager form" `Quick
+            test_tx_helpers_match_eager_form;
+          Alcotest.test_case "disabled sinks allocate nothing" `Quick
+            test_disabled_sinks_allocate_nothing;
         ] );
       ("sampler", [ Alcotest.test_case "records and validates" `Quick test_sampler_records_and_validates ]);
       ( "neutrality",

@@ -162,6 +162,45 @@ let test_invalidate_empties () =
   Buffer_pool.invalidate pool;
   check_bool "resident lost" false (Buffer_pool.read pool ~page:1)
 
+(* The LRU pool against a recency list, most recent first: every read's
+   hit or miss and the final counters agree over random reads, writes and
+   invalidations. *)
+type pool_op = Read of int | Write of int | Invalidate
+
+let prop_lru_matches_recency_list =
+  QCheck2.Test.make ~name:"lru agrees with a recency list" ~count:300
+    QCheck2.Gen.(
+      pair (int_range 1 5)
+        (list_size (int_range 0 200)
+           (frequency
+              [
+                (6, map (fun p -> Read p) (int_range 0 9));
+                (3, map (fun p -> Write p) (int_range 0 9));
+                (1, pure Invalidate);
+              ])))
+    (fun (capacity, ops) ->
+      let pool = Buffer_pool.create (Sim.Rng.create 1L) (Buffer_pool.Lru capacity) in
+      let recent = ref [] in
+      let install page =
+        recent := List.filteri (fun i _ -> i < capacity) (page :: List.filter (( <> ) page) !recent)
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Read page ->
+            let expected = List.mem page !recent in
+            install page;
+            Bool.equal expected (Buffer_pool.read pool ~page)
+          | Write page ->
+            install page;
+            Buffer_pool.write pool ~page;
+            true
+          | Invalidate ->
+            recent := [];
+            Buffer_pool.invalidate pool;
+            true)
+        ops)
+
 let test_pool_rejects_bad_args () =
   let rng = Sim.Rng.create 1L in
   Alcotest.check_raises "bad ratio" (Invalid_argument "Buffer_pool.create: ratio out of range")
@@ -197,5 +236,6 @@ let () =
           Alcotest.test_case "write installs" `Quick test_lru_write_installs;
           Alcotest.test_case "invalidate" `Quick test_invalidate_empties;
           Alcotest.test_case "argument validation" `Quick test_pool_rejects_bad_args;
+          QCheck_alcotest.to_alcotest prop_lru_matches_recency_list;
         ] );
     ]

@@ -60,7 +60,6 @@ type pending = { cws : Cert_ws.t; token : E2e.token option; enq_at : Sim.Sim_tim
    giving the broadcast-phase span. Keyed lookups only (never iterated), so
    it cannot leak enumeration order anywhere. *)
 type obs_state = {
-  o_tracer : Obs.Tracer.t;
   h_read : Obs.Histogram.t;  (* submit -> read phase done (delegate) *)
   h_abcast : Obs.Histogram.t;  (* broadcast -> ordered delivery (delegate) *)
   h_certify : Obs.Histogram.t;  (* delivery -> certification decision *)
@@ -73,12 +72,10 @@ type obs_state = {
 type waiting_2safe = { mutable acks : Net.Node_id.Set.t }
 
 type t = {
-  server : Server.t;
+  r : Replica.t;
   mutable mode : mode;
-  trace : Sim.Trace.t;
   group : Net.Node_id.t list;
   cert : Db.Certifier.t;
-  view : Db.Testable_tx.t;
   pending_responses : (Db.Testable_tx.outcome -> unit) Int_tbl.t;
   waiting_2safe : waiting_2safe Int_tbl.t;
   logged_local : unit Int_tbl.t;
@@ -89,47 +86,27 @@ type t = {
   pipe : pending Queue.t;
   mutable pipe_busy : bool;
   mutable current : pending option;  (* popped from [pipe], still processing *)
-  mutable ready : bool;
   mutable bcast : bcast option;
   apply_write_factor : float;
   certify_cpu : Sim.Sim_time.span;
   obs : obs_state;
 }
 
-let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
-
-(* Per-transaction entries: their attribute strings are built only when the
-   trace records. *)
-let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
-
-let tr_outcome t kind tx outcome =
-  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind tx
-    ~outcome:(Db.Testable_tx.outcome_to_string outcome)
-
-let now t = Sim.Engine.now (Net.Network.engine (Net.Endpoint.network t.server.Server.endpoint))
-
-(* Record one lifecycle phase [from_, until) into its histogram and, when
-   tracing, as a complete span on this server's track. *)
-let observe_phase t h ~name ~tx ~from_ ~until =
-  let dur = Sim.Sim_time.diff until from_ in
-  Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete_tx t.obs.o_tracer ~name
-    ~cat:(Safety.to_string (mode_level t.mode))
-    ~tid:t.server.Server.index ~ts:from_ ~dur tx
+let replica t = t.r
+let server t = t.r.Replica.server
 
 let outcome_of = function
   | Db.Certifier.Commit -> Db.Testable_tx.Committed
   | Db.Certifier.Abort -> Db.Testable_tx.Aborted
 
-let guard t k = Sim.Process.guard t.server.Server.process k
-
-let respond t tx outcome =
+(* Only the delegate holds the client's continuation; elsewhere this is a
+   no-op. *)
+let respond_pending t tx outcome =
   match Int_tbl.find_opt t.pending_responses tx with
   | None -> ()
   | Some k ->
     Int_tbl.remove t.pending_responses tx;
-    tr_outcome t "respond" tx outcome;
-    k outcome
+    Replica.respond t.r tx outcome k
 
 let broadcast_cws t cws =
   match t.bcast with
@@ -181,7 +158,7 @@ let check_2safe_responses t =
       (fun tx ->
         Int_tbl.remove t.waiting_2safe tx;
         Obs.Registry.inc t.obs.c_ack_after_disk;
-        respond t tx Db.Testable_tx.Committed)
+        respond_pending t tx Db.Testable_tx.Committed)
       ready_txs
 
 let note_logged t tx origin =
@@ -192,10 +169,10 @@ let note_logged t tx origin =
     check_2safe_responses t
 
 let announce_logged t cws =
-  let self = t.server.Server.index in
+  let self = (server t).Server.index in
   if cws.Cert_ws.delegate = self then note_logged t cws.Cert_ws.ws.Db.Transaction.tx_id self
   else
-    Net.Endpoint.send t.server.Server.endpoint
+    Net.Endpoint.send (server t).Server.endpoint
       ~dst:(node_of_index t cws.Cert_ws.delegate)
       (Logged { tx = cws.Cert_ws.ws.Db.Transaction.tx_id; origin = self })
 
@@ -212,14 +189,14 @@ let ack_poll_interval = Sim.Sim_time.span_ms 120.
 let rec arm_ack_poll t =
   if (not t.ack_poll_armed) && Int_tbl.length t.waiting_2safe > 0 then begin
     t.ack_poll_armed <- true;
-    Sim.Process.after t.server.Server.process ack_poll_interval (fun () ->
+    Sim.Process.after (server t).Server.process ack_poll_interval (fun () ->
         t.ack_poll_armed <- false;
         poll_missing_acks t;
         arm_ack_poll t)
   end
 
 and poll_missing_acks t =
-  let self = t.server.Server.index in
+  let self = (server t).Server.index in
   let waiting =
     Int_tbl.fold_sorted (fun tx w acc -> (tx, w) :: acc) t.waiting_2safe []
   in
@@ -228,14 +205,14 @@ and poll_missing_acks t =
       List.iter
         (fun n ->
           if Net.Node_id.index n <> self && not (Net.Node_id.Set.mem n w.acks) then
-            Net.Endpoint.send t.server.Server.endpoint ~dst:n (Logged_query { tx }))
+            Net.Endpoint.send (server t).Server.endpoint ~dst:n (Logged_query { tx }))
         t.group)
     waiting
 
 (* ---- The in-order processing pipeline ---- *)
 
 let rec pump t =
-  if t.ready && not t.pipe_busy then begin
+  if t.r.Replica.ready && not t.pipe_busy then begin
     match Queue.take_opt t.pipe with
     | None -> ()
     | Some item ->
@@ -253,39 +230,39 @@ and process t item =
   let cws = item.cws in
   let ws = cws.Cert_ws.ws in
   let tx = ws.Db.Transaction.tx_id in
-  let db = t.server.Server.db in
-  if Db.Testable_tx.already_processed t.view tx then begin
+  let db = (server t).Server.db in
+  if Db.Testable_tx.already_processed t.r.Replica.view tx then begin
     (* Replayed or retransmitted duplicate: testable transactions make the
        redelivery harmless (paper §4.3). *)
     ack_token t item.token;
-    (match Db.Testable_tx.find t.view tx with
-     | Some outcome -> respond t tx outcome
+    (match Db.Testable_tx.find t.r.Replica.view tx with
+     | Some outcome -> respond_pending t tx outcome
      | None -> ());
     advance t ()
   end
   else
-    Sim.Resource.request t.server.Server.cpus ~duration:t.certify_cpu
-      (guard t (fun () ->
-           let decided_at = now t in
-           observe_phase t t.obs.h_certify ~name:"certify" ~tx ~from_:item.enq_at
+    Sim.Resource.request (server t).Server.cpus ~duration:t.certify_cpu
+      (Replica.guard t.r (fun () ->
+           let decided_at = Replica.now t.r in
+           Replica.observe_phase t.r t.obs.h_certify ~name:"certify" ~tx ~from_:item.enq_at
              ~until:decided_at;
            (match Int_tbl.find_opt t.obs.bcast_at tx with
            | Some sent_at ->
              Int_tbl.remove t.obs.bcast_at tx;
-             observe_phase t t.obs.h_abcast ~name:"abcast" ~tx ~from_:sent_at
+             Replica.observe_phase t.r t.obs.h_abcast ~name:"abcast" ~tx ~from_:sent_at
                ~until:item.enq_at
            | None -> ());
            let decision = Db.Certifier.certify t.cert ~start:cws.Cert_ws.start ~ws in
            let outcome = outcome_of decision in
-           Db.Testable_tx.record t.view tx outcome;
-           tr_outcome t "decide" tx outcome;
+           Db.Testable_tx.record t.r.Replica.view tx outcome;
+           Replica.tr_outcome t.r "decide" tx outcome;
            match decision with
            | Db.Certifier.Abort -> begin
                (* An abort needs no durability quorum: answer now and drop
                   the waiting entry so the ack sweep never polls for acks
                   that will never come. *)
                Int_tbl.remove t.waiting_2safe tx;
-               respond t tx Db.Testable_tx.Aborted;
+               respond_pending t tx Db.Testable_tx.Aborted;
                match t.mode with
                | Two_safe_mode | Very_safe_mode ->
                  (* The abort decision is the processing of the message: log
@@ -293,8 +270,8 @@ and process t item =
                  let token = item.token in
                  Db.Db_engine.log_commit db ~tx ~decision ~writes:[]
                    ~k:
-                     (guard t (fun () ->
-                          tr_tx t "logged" tx;
+                     (Replica.guard t.r (fun () ->
+                          Replica.tr_tx t.r "logged" tx;
                           Int_tbl.replace t.logged_local tx ();
                           ack_token t token));
                  advance t ()
@@ -314,15 +291,15 @@ and process t item =
                    the acknowledgement. *)
                 if Int_tbl.mem t.pending_responses tx then
                   Obs.Registry.inc t.obs.c_ack_before_disk;
-                respond t tx Db.Testable_tx.Committed;
+                respond_pending t tx Db.Testable_tx.Committed;
                 Db.Db_engine.log_commit db ~tx ~decision ~writes
                   ~k:
-                    (guard t (fun () ->
-                         observe_phase t t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
-                           ~until:(now t);
-                         tr_tx t "logged" tx));
+                    (Replica.guard t.r (fun () ->
+                         Replica.observe_phase t.r t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
+                           ~until:(Replica.now t.r);
+                         Replica.tr_tx t.r "logged" tx));
                 Db.Db_engine.write_io db ~count ~factor:t.apply_write_factor
-                  ~k:(guard t (advance t))
+                  ~k:(Replica.guard t.r (advance t))
               | Group_one_safe_mode ->
                 (* Fig. 2: the delegate answers after applying the writes
                    and flushing the decision record. *)
@@ -331,20 +308,20 @@ and process t item =
                   if !applied && !flushed then begin
                     if Int_tbl.mem t.pending_responses tx then
                       Obs.Registry.inc t.obs.c_ack_after_disk;
-                    respond t tx Db.Testable_tx.Committed
+                    respond_pending t tx Db.Testable_tx.Committed
                   end
                 in
                 Db.Db_engine.log_commit db ~tx ~decision ~writes
                   ~k:
-                    (guard t (fun () ->
-                         observe_phase t t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
-                           ~until:(now t);
-                         tr_tx t "logged" tx;
+                    (Replica.guard t.r (fun () ->
+                         Replica.observe_phase t.r t.obs.h_wal ~name:"wal" ~tx ~from_:decided_at
+                           ~until:(Replica.now t.r);
+                         Replica.tr_tx t.r "logged" tx;
                          flushed := true;
                          maybe_respond ()));
                 Db.Db_engine.write_io db ~count ~factor:1.0
                   ~k:
-                    (guard t (fun () ->
+                    (Replica.guard t.r (fun () ->
                          applied := true;
                          maybe_respond ();
                          advance t ()))
@@ -354,40 +331,28 @@ and process t item =
                 let token = item.token in
                 Db.Db_engine.write_io db ~count ~factor:1.0
                   ~k:
-                    (guard t (fun () ->
+                    (Replica.guard t.r (fun () ->
                          Db.Db_engine.log_commit db ~tx ~decision ~writes
                            ~k:
-                             (guard t (fun () ->
-                                  observe_phase t t.obs.h_wal ~name:"wal" ~tx
-                                    ~from_:decided_at ~until:(now t);
-                                  tr_tx t "logged" tx;
+                             (Replica.guard t.r (fun () ->
+                                  Replica.observe_phase t.r t.obs.h_wal ~name:"wal" ~tx
+                                    ~from_:decided_at ~until:(Replica.now t.r);
+                                  Replica.tr_tx t.r "logged" tx;
                                   Int_tbl.replace t.logged_local tx ();
                                   ack_token t token;
                                   announce_logged t cws));
                          advance t ())))))
 
 let deliver t cws token =
-  tr_tx t "deliver" cws.Cert_ws.ws.Db.Transaction.tx_id;
-  Queue.push { cws; token; enq_at = now t } t.pipe;
+  Replica.tr_tx t.r "deliver" cws.Cert_ws.ws.Db.Transaction.tx_id;
+  Queue.push { cws; token; enq_at = Replica.now t.r } t.pipe;
   pump t
 
 (* ---- Recovery ---- *)
 
-let rebuild_from_local_log t ~with_cert =
-  let db = t.server.Server.db in
-  let report = Db.Db_engine.recover_now db in
-  if report.Db.Db_engine.repairs <> [] then
-    tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable db));
-  Db.Certifier.reset t.cert;
-  if with_cert then
-    List.iter
-      (fun r ->
-        match r.Db.Db_engine.w_decision with
-        | Db.Certifier.Commit ->
-          Db.Certifier.note_commit t.cert ~write_items:(List.map fst r.Db.Db_engine.w_writes)
-        | Db.Certifier.Abort -> ())
-      (Db.Db_engine.wal_records db)
+let rebuild_from_local_log t =
+  Replica.recover_local t.r;
+  Db.Certifier.reset t.cert
 
 let get_snapshot t () =
   (* The log position handed to the joiner covers everything delivered to
@@ -398,39 +363,40 @@ let get_snapshot t () =
   let unprocessed =
     let queued = List.map (fun p -> p.cws) (List.of_seq (Queue.to_seq t.pipe)) in
     let not_done cws =
-      not (Db.Testable_tx.already_processed t.view cws.Cert_ws.ws.Db.Transaction.tx_id)
+      not (Db.Testable_tx.already_processed t.r.Replica.view cws.Cert_ws.ws.Db.Transaction.tx_id)
     in
     match t.current with
     | Some p when not_done p.cws -> p.cws :: queued
     | Some _ | None -> queued
   in
   {
-    Snapshot.values = Db.Db_engine.values_snapshot t.server.Server.db;
-    view = Db.Testable_tx.freeze t.view;
+    Snapshot.values = Db.Db_engine.values_snapshot (server t).Server.db;
+    view = Db.Testable_tx.freeze t.r.Replica.view;
     cert = Db.Certifier.freeze t.cert;
     pending = unprocessed;
   }
 
 let install_snapshot t (s : Snapshot.t) =
-  Db.Db_engine.install_snapshot t.server.Server.db s.Snapshot.values;
-  Db.Testable_tx.thaw t.view s.Snapshot.view;
+  Db.Db_engine.install_snapshot (server t).Server.db s.Snapshot.values;
+  Db.Testable_tx.thaw t.r.Replica.view s.Snapshot.view;
   Db.Certifier.thaw t.cert s.Snapshot.cert;
-  List.iter (fun cws -> Queue.push { cws; token = None; enq_at = now t } t.pipe) s.Snapshot.pending;
-  tr t "state_transfer" [];
-  t.ready <- true;
+  List.iter
+    (fun cws -> Queue.push { cws; token = None; enq_at = Replica.now t.r } t.pipe)
+    s.Snapshot.pending;
+  Replica.tr t.r "state_transfer" [];
+  t.r.Replica.ready <- true;
   pump t
 
 let cold_start t () =
-  tr t "cold_start" [];
+  Replica.tr t.r "cold_start" [];
   (* Restart from this server's own durable state; the group's volatile
      knowledge is gone (paper Fig. 5). The certifier restarts empty on
      every member, consistently, since the ordering log also restarts. *)
-  rebuild_from_local_log t ~with_cert:false;
-  t.ready <- true;
+  rebuild_from_local_log t;
+  t.r.Replica.ready <- true;
   pump t
 
 let on_kill t () =
-  t.ready <- false;
   t.pipe_busy <- false;
   t.current <- None;
   Queue.clear t.pipe;
@@ -438,60 +404,53 @@ let on_kill t () =
   Int_tbl.reset t.waiting_2safe;
   Int_tbl.reset t.logged_local;
   t.ack_poll_armed <- false;
-  Db.Certifier.reset t.cert;
-  Db.Testable_tx.reset t.view
+  Db.Certifier.reset t.cert
 
 let on_restart_two_safe t () =
   (* Static crash recovery: rebuild locally (values, committed view and
      certification state all follow from the WAL, whose order is delivery
      order); the end-to-end broadcast replays whatever was not yet
      successfully delivered on top of it. *)
-  rebuild_from_local_log t ~with_cert:true;
-  (* Everything in the WAL is durably logged here: repopulate the table the
-     [Logged_query] handler answers from, so a delegate still waiting on
-     this server's ack can complete after the restart. *)
+  rebuild_from_local_log t;
+  (* The WAL's commits, in delivery order, rebuild the certifier. Everything
+     in it is durably logged here: repopulate the table the [Logged_query]
+     handler answers from, so a delegate still waiting on this server's ack
+     can complete after the restart. *)
   List.iter
-    (fun r -> Int_tbl.replace t.logged_local r.Db.Db_engine.w_tx ())
-    (Db.Db_engine.wal_records t.server.Server.db);
-  tr t "recovered_local" [];
-  t.ready <- true;
+    (fun r ->
+      (match r.Db.Db_engine.w_decision with
+       | Db.Certifier.Commit ->
+         Db.Certifier.note_commit t.cert ~write_items:(List.map fst r.Db.Db_engine.w_writes)
+       | Db.Certifier.Abort -> ());
+      Int_tbl.replace t.logged_local r.Db.Db_engine.w_tx ())
+    (Db.Db_engine.wal_records (server t).Server.db);
+  Replica.tr t.r "recovered_local" [];
+  t.r.Replica.ready <- true;
   pump t
 
 (* ---- Submission (delegate side) ---- *)
 
-let serving t = Sim.Process.alive t.server.Server.process && t.ready
-
 let submit t tx ~on_response =
-  if serving t then begin
+  if Replica.admit t.r tx ~on_response then begin
     let id = tx.Db.Transaction.id in
-    if Db.Transaction.is_update tx && Db.Db_engine.disk_full t.server.Server.db then begin
-      (* Graceful degradation under a full disk: refuse new update work
-         with a distinct abort instead of wedging the commit pipeline;
-         reads and group traffic continue. *)
-      tr_tx t "disk_full_abort" id;
-      Db.Db_engine.note_degraded t.server.Server.db;
-      on_response Db.Testable_tx.Aborted
-    end
-    else begin
-    tr_tx t "submit" id;
-    let submitted_at = now t in
+    let submitted_at = Replica.now t.r in
     Int_tbl.replace t.pending_responses id on_response;
     let read_items = Db.Transaction.read_set tx in
     (* The certification snapshot is taken when the read phase begins:
        every item read afterwards is validated against all writesets that
        commit after this point, which is the conservative direction. *)
     let start = Db.Certifier.current_version t.cert in
-    Db.Db_engine.read_seq t.server.Server.db ~items:read_items
+    Db.Db_engine.read_seq (server t).Server.db ~items:read_items
       ~k:
-        (guard t (fun () ->
-             observe_phase t t.obs.h_read ~name:"read" ~tx:id ~from_:submitted_at
-               ~until:(now t);
+        (Replica.guard t.r (fun () ->
+             Replica.observe_phase t.r t.obs.h_read ~name:"read" ~tx:id ~from_:submitted_at
+               ~until:(Replica.now t.r);
              if Db.Transaction.is_update tx then begin
                let cws =
                  {
                    Cert_ws.ws = Db.Transaction.to_writeset tx;
                    start;
-                   delegate = t.server.Server.index;
+                   delegate = (server t).Server.index;
                  }
                in
                (match t.mode with
@@ -499,12 +458,11 @@ let submit t tx ~on_response =
                   Int_tbl.replace t.waiting_2safe id { acks = Net.Node_id.Set.empty };
                   arm_ack_poll t
                 | Group_safe_mode | Group_one_safe_mode -> ());
-               tr_tx t "broadcast" id;
-               Int_tbl.replace t.obs.bcast_at id (now t);
+               Replica.tr_tx t.r "broadcast" id;
+               Int_tbl.replace t.obs.bcast_at id (Replica.now t.r);
                broadcast_cws t cws
              end
-             else respond t id Db.Testable_tx.Committed))
-    end
+             else respond_pending t id Db.Testable_tx.Committed))
   end
 
 (* ---- Construction ---- *)
@@ -518,7 +476,6 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
   in
   let obs =
     {
-      o_tracer = tracer;
       h_read = Obs.Registry.histogram registry "phase.read_us";
       h_abcast = Obs.Registry.histogram registry "phase.broadcast_us";
       h_certify = Obs.Registry.histogram registry "phase.certify_us";
@@ -530,12 +487,10 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
   in
   let t =
     {
-      server;
+      r = Replica.create server ~level:(mode_level mode) ~tracer ~trace;
       mode;
-      trace;
       group = List.sort Net.Node_id.compare group;
       cert = Db.Certifier.create ();
-      view = Db.Testable_tx.create ();
       pending_responses = Int_tbl.create 64;
       waiting_2safe = Int_tbl.create 64;
       logged_local = Int_tbl.create 64;
@@ -543,7 +498,6 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
       pipe = Queue.create ();
       pipe_busy = false;
       current = None;
-      ready = true;
       bcast = None;
       apply_write_factor;
       certify_cpu = Sim.Sim_time.span_ms 0.1;
@@ -563,7 +517,7 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
      t.bcast <- Some (Classical ab);
      (* During a rejoin the broadcast layer drives recovery; block the
         pipeline until it finishes. *)
-     Sim.Process.on_restart server.Server.process (fun () -> t.ready <- false)
+     Sim.Process.on_restart server.Server.process (fun () -> t.r.Replica.ready <- false)
    | `End_to_end ->
      let e2e =
        E2e.create endpoint ~group ~disk:server.Server.disks
@@ -592,22 +546,15 @@ let create server ~group ~mode ?fd_config ?(apply_write_factor = 0.625) ?uniform
       | _ -> false);
   t
 
-let mode t = t.mode
-
 let set_mode t new_mode =
   if broadcast_family new_mode <> broadcast_family t.mode then
     invalid_arg
       "Dsm_replica.set_mode: can only switch within a broadcast family (group-safe <-> \
        group-1-safe, or 2-safe <-> very-safe)";
   t.mode <- new_mode;
-  tr t "mode_switch" [ ("to", Safety.to_string (mode_level new_mode)) ];
+  t.r.Replica.cat <- Safety.to_string (mode_level new_mode);
+  Replica.tr t.r "mode_switch" [ ("to", t.r.Replica.cat) ];
   (* A relaxation (very-safe -> 2-safe) may unblock waiting responses. *)
   check_2safe_responses t
 
-let committed t id =
-  match Db.Testable_tx.find t.view id with
-  | Some Db.Testable_tx.Committed -> true
-  | Some Db.Testable_tx.Aborted | None -> false
-
-let committed_count t = Db.Testable_tx.committed_count t.view
 let certifier t = t.cert

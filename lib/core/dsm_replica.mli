@@ -68,10 +68,8 @@ val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> uni
     first, and submissions to a recovering server are dropped. Read-only
     transactions answer after the local read phase, without broadcast. *)
 
-val serving : t -> bool
-(** Up and not recovering. *)
-
-val mode : t -> mode
+val replica : t -> Replica.t
+(** The per-server half: serving state, committed view, step recorders. *)
 
 val set_mode : t -> mode -> unit
 (** Switch the response rule at runtime — the paper notes group-1-safe and
@@ -81,11 +79,6 @@ val set_mode : t -> mode -> unit
     broadcast primitive: the group-safe pair runs on classical atomic
     broadcast, the 2-safe pair on end-to-end atomic broadcast. *)
 
-val committed : t -> Db.Transaction.id -> bool
-(** Whether this replica's current (group-consistent) view includes the
-    transaction as committed. *)
-
-val committed_count : t -> int
 val certifier : t -> Db.Certifier.t
 val is_leading : t -> bool
 (** Whether this replica's broadcast stack currently leads the ordering

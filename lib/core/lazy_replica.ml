@@ -10,64 +10,37 @@ type Net.Message.payload +=
     }
 
 type t = {
-  server : Server.t;
+  r : Replica.t;
   mode : mode;
-  trace : Sim.Trace.t;
   others : Net.Node_id.t list;
-  view : Db.Testable_tx.t;
   (* Last locally-committed update of each item, as a (start, commit)
      interval — used to detect cross-site concurrent conflicts (§7). *)
   local_commits : (Sim.Sim_time.t * Sim.Sim_time.t) Analysis.Int_tbl.t;
-  mutable ready : bool;
-  mutable deadlock_aborts : int;
   mutable cross_site_conflicts : int;
   c_ack_before_disk : Obs.Registry.counter;
   c_ack_after_disk : Obs.Registry.counter;
   c_propagations : Obs.Registry.counter;
   c_remote_applies : Obs.Registry.counter;
-  o_tracer : Obs.Tracer.t;
   h_execute : Obs.Histogram.t;  (* submit -> 2PL execution done *)
   h_flush : Obs.Histogram.t;  (* local commit -> decision record durable *)
   h_apply : Obs.Histogram.t;  (* origin commit -> remote apply (propagation lag) *)
 }
 
-let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
-let guard t k = Sim.Process.guard t.server.Server.process k
-
-(* Per-transaction entries: their attribute strings are built only when the
-   trace records. *)
-let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
-
-let respond t tx outcome ~on_response =
-  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind:"respond" tx
-    ~outcome:(Db.Testable_tx.outcome_to_string outcome);
-  on_response outcome
-
-let now t = Sim.Engine.now (Db.Db_engine.engine t.server.Server.db)
-
-(* Record one lifecycle phase [from_, until) into its histogram and, when
-   tracing, as a complete span on this server's track — the same shape
-   Dsm_replica gives its phases, so lazy and group-safe Chrome traces line
-   up side by side. *)
-let observe_phase t h ~name ~tx ~from_ ~until =
-  let dur = Sim.Sim_time.diff until from_ in
-  Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete_tx t.o_tracer ~name
-    ~cat:(Safety.to_string (mode_level t.mode))
-    ~tid:t.server.Server.index ~ts:from_ ~dur tx
+let replica t = t.r
+let db t = t.r.Replica.server.Server.db
 
 let propagate t ws ~started_at =
   Obs.Registry.inc t.c_propagations;
-  tr_tx t "propagate" ws.Db.Transaction.tx_id;
-  Net.Endpoint.broadcast t.server.Server.endpoint ~to_:t.others
-    (Lazy_ws { ws; started_at; committed_at = now t })
+  Replica.tr_tx t.r "propagate" ws.Db.Transaction.tx_id;
+  Net.Endpoint.broadcast t.r.Replica.server.Server.endpoint ~to_:t.others
+    (Lazy_ws { ws; started_at; committed_at = Replica.now t.r })
 
 (* Remote application: install on arrival, no ordering, no certification —
    last writer wins, which is exactly why lazy replication can diverge. *)
 let apply_remote t ws ~started_at ~committed_at =
   let tx = ws.Db.Transaction.tx_id in
-  if not (Db.Testable_tx.already_processed t.view tx) then begin
-    let db = t.server.Server.db in
+  if not (Db.Testable_tx.already_processed t.r.Replica.view tx) then begin
+    let db = db t in
     let writes = ws.Db.Transaction.write_values in
     (* §7 hazard: this remote update ran concurrently with a local update
        of the same item — neither site saw the other. *)
@@ -79,71 +52,45 @@ let apply_remote t ws ~started_at ~committed_at =
     in
     if List.exists conflicting writes then begin
       t.cross_site_conflicts <- t.cross_site_conflicts + 1;
-      tr_tx t "cross_site_conflict" tx
+      Replica.tr_tx t.r "cross_site_conflict" tx
     end;
     (* Propagation lag: how long the remote commit stayed invisible here. *)
-    observe_phase t t.h_apply ~name:"apply" ~tx ~from_:committed_at ~until:(now t);
+    Replica.observe_phase t.r t.h_apply ~name:"apply" ~tx ~from_:committed_at
+      ~until:(Replica.now t.r);
     Db.Db_engine.install_writes db writes;
-    Db.Testable_tx.record t.view tx Db.Testable_tx.Committed;
-    Db.Testable_tx.record (Db.Db_engine.testable db) tx Db.Testable_tx.Committed;
+    Db.Testable_tx.record t.r.Replica.view tx Db.Testable_tx.Committed;
     Db.Db_engine.log_commit_quiet db ~tx ~decision:Db.Certifier.Commit ~writes;
     Db.Db_engine.write_io db ~count:(List.length writes) ~factor:(Db.Db_engine.async_factor db)
       ~k:(fun () -> ());
     Obs.Registry.inc t.c_remote_applies;
-    tr_tx t "apply" tx
+    Replica.tr_tx t.r "apply" tx
   end
 
-let serving t = Sim.Process.alive t.server.Server.process && t.ready
-
-(* Execute operations in program order under strict 2PL. The continuation
-   receives [`Done] or [`Deadlock]. *)
-let execute_ops t tx ~k =
-  let db = t.server.Server.db in
-  let locks = Db.Db_engine.locks db in
-  let id = tx.Db.Transaction.id in
-  let rec step ops =
-    match ops with
-    | [] -> k `Done
-    | op :: rest ->
-      let item = Db.Op.item op in
-      let mode =
-        if Db.Op.is_write op then Db.Lock_table.Exclusive else Db.Lock_table.Shared
-      in
-      let continue () =
-        match op with
-        | Db.Op.Read _ -> Db.Db_engine.read db ~item ~k:(fun _ -> step rest)
-        | Db.Op.Write _ -> step rest
-      in
-      (match Db.Lock_table.acquire locks ~tx:id ~item ~mode ~granted:(guard t continue) with
-       | `Ok -> ()
-       | `Deadlock -> k `Deadlock)
-  in
-  step tx.Db.Transaction.ops
-
 let finish_commit t tx ~started_at ~on_response =
-  let db = t.server.Server.db in
+  let db = db t in
   let id = tx.Db.Transaction.id in
-  let commit_at = now t in
+  let commit_at = Replica.now t.r in
   let ws = Db.Transaction.to_writeset tx in
   let writes = ws.Db.Transaction.write_values in
   let count = List.length writes in
   Db.Db_engine.install_writes db writes;
   List.iter
-    (fun (item, _) -> Analysis.Int_tbl.replace t.local_commits item (started_at, now t))
+    (fun (item, _) ->
+      Analysis.Int_tbl.replace t.local_commits item (started_at, Replica.now t.r))
     writes;
-  Db.Testable_tx.record t.view id Db.Testable_tx.Committed;
-  Db.Testable_tx.record (Db.Db_engine.testable db) id Db.Testable_tx.Committed;
+  Db.Testable_tx.record t.r.Replica.view id Db.Testable_tx.Committed;
   let release () = Db.Lock_table.release_all (Db.Db_engine.locks db) ~tx:id in
   match t.mode with
   | Zero_safe_mode ->
     (* Answer before anything is durable. *)
     Obs.Registry.inc t.c_ack_before_disk;
-    respond t id Db.Testable_tx.Committed ~on_response;
+    Replica.respond t.r id Db.Testable_tx.Committed on_response;
     Db.Db_engine.log_commit db ~tx:id ~decision:Db.Certifier.Commit ~writes
       ~k:
-        (guard t (fun () ->
-             observe_phase t t.h_flush ~name:"flush" ~tx:id ~from_:commit_at ~until:(now t);
-             tr_tx t "logged" id));
+        (Replica.guard t.r (fun () ->
+             Replica.observe_phase t.r t.h_flush ~name:"flush" ~tx:id ~from_:commit_at
+               ~until:(Replica.now t.r);
+             Replica.tr_tx t.r "logged" id));
     Db.Db_engine.write_io db ~count ~factor:(Db.Db_engine.async_factor db) ~k:(fun () -> ());
     release ();
     if writes <> [] then propagate t ws ~started_at
@@ -153,81 +100,59 @@ let finish_commit t tx ~started_at ~on_response =
     let maybe_finish () =
       if !written && !flushed then begin
         Obs.Registry.inc t.c_ack_after_disk;
-        respond t id Db.Testable_tx.Committed ~on_response;
+        Replica.respond t.r id Db.Testable_tx.Committed on_response;
         release ();
         if writes <> [] then propagate t ws ~started_at
       end
     in
     Db.Db_engine.log_commit db ~tx:id ~decision:Db.Certifier.Commit ~writes
       ~k:
-        (guard t (fun () ->
-             observe_phase t t.h_flush ~name:"flush" ~tx:id ~from_:commit_at ~until:(now t);
-             tr_tx t "logged" id;
+        (Replica.guard t.r (fun () ->
+             Replica.observe_phase t.r t.h_flush ~name:"flush" ~tx:id ~from_:commit_at
+               ~until:(Replica.now t.r);
+             Replica.tr_tx t.r "logged" id;
              flushed := true;
              maybe_finish ()));
     Db.Db_engine.write_io db ~count ~factor:1.0
       ~k:
-        (guard t (fun () ->
+        (Replica.guard t.r (fun () ->
              written := true;
              maybe_finish ()))
 
 let submit t tx ~on_response =
-  if serving t then begin
+  if Replica.admit t.r tx ~on_response then begin
     let id = tx.Db.Transaction.id in
-    if Db.Transaction.is_update tx && Db.Db_engine.disk_full t.server.Server.db then begin
-      (* Graceful degradation under a full disk: refuse new update work
-         with a distinct abort; reads and remote propagation continue. *)
-      tr_tx t "disk_full_abort" id;
-      Db.Db_engine.note_degraded t.server.Server.db;
-      on_response Db.Testable_tx.Aborted
-    end
-    else begin
-    tr_tx t "submit" id;
-    let started_at = now t in
-    execute_ops t tx ~k:(fun result ->
-        observe_phase t t.h_execute ~name:"execute" ~tx:id ~from_:started_at ~until:(now t);
+    let started_at = Replica.now t.r in
+    Replica.execute_locked t.r tx ~k:(fun result ->
+        Replica.observe_phase t.r t.h_execute ~name:"execute" ~tx:id ~from_:started_at
+          ~until:(Replica.now t.r);
         match result with
         | `Deadlock ->
-          t.deadlock_aborts <- t.deadlock_aborts + 1;
-          Db.Lock_table.release_all (Db.Db_engine.locks t.server.Server.db) ~tx:id;
-          Db.Testable_tx.record t.view id Db.Testable_tx.Aborted;
-          respond t id Db.Testable_tx.Aborted ~on_response
+          Db.Lock_table.release_all (Db.Db_engine.locks (db t)) ~tx:id;
+          Db.Testable_tx.record t.r.Replica.view id Db.Testable_tx.Aborted;
+          Replica.respond t.r id Db.Testable_tx.Aborted on_response
         | `Done ->
           if Db.Transaction.is_update tx then finish_commit t tx ~started_at ~on_response
           else begin
-            Db.Lock_table.release_all (Db.Db_engine.locks t.server.Server.db) ~tx:id;
-            respond t id Db.Testable_tx.Committed ~on_response
+            Db.Lock_table.release_all (Db.Db_engine.locks (db t)) ~tx:id;
+            Replica.respond t.r id Db.Testable_tx.Committed on_response
           end)
-    end
   end
-
-let recover t =
-  let report = Db.Db_engine.recover_now t.server.Server.db in
-  if report.Db.Db_engine.repairs <> [] then
-    tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable t.server.Server.db));
-  tr t "recovered_local" [];
-  t.ready <- true
 
 let create server ~group ~mode ~registry ~tracer ~trace =
   let self = Net.Endpoint.id server.Server.endpoint in
   let others = List.filter (fun n -> not (Net.Node_id.equal n self)) group in
   let t =
     {
-      server;
+      r = Replica.create server ~level:(mode_level mode) ~tracer ~trace;
       mode;
-      trace;
       others;
-      view = Db.Testable_tx.create ();
       local_commits = Analysis.Int_tbl.create 256;
-      ready = true;
-      deadlock_aborts = 0;
       cross_site_conflicts = 0;
       c_ack_before_disk = Obs.Registry.counter registry "txn.ack_before_disk";
       c_ack_after_disk = Obs.Registry.counter registry "txn.ack_after_disk";
       c_propagations = Obs.Registry.counter registry "lazy.propagations";
       c_remote_applies = Obs.Registry.counter registry "lazy.remote_applies";
-      o_tracer = tracer;
       h_execute = Obs.Registry.histogram registry "phase.execute_us";
       h_flush = Obs.Registry.histogram registry "phase.flush_us";
       h_apply = Obs.Registry.histogram registry "lazy.propagation_us";
@@ -240,17 +165,13 @@ let create server ~group ~mode ~registry ~tracer ~trace =
         true
       | _ -> false);
   Sim.Process.on_kill server.Server.process (fun () ->
-      t.ready <- false;
-      Analysis.Int_tbl.reset t.local_commits;
-      Db.Testable_tx.reset t.view);
-  Sim.Process.on_restart server.Server.process (fun () -> recover t);
+      Analysis.Int_tbl.reset t.local_commits);
+  (* Lazy replication has no group to transfer state from: rebuild from the
+     server's own log, and missed propagations stay missing. *)
+  Sim.Process.on_restart server.Server.process (fun () ->
+      Replica.recover_local t.r;
+      Replica.tr t.r "recovered_local" [];
+      t.r.Replica.ready <- true);
   t
 
-let committed t id =
-  match Db.Testable_tx.find t.view id with
-  | Some Db.Testable_tx.Committed -> true
-  | Some Db.Testable_tx.Aborted | None -> false
-
-let committed_count t = Db.Testable_tx.committed_count t.view
-let deadlock_aborts t = t.deadlock_aborts
 let cross_site_conflicts t = t.cross_site_conflicts

@@ -38,16 +38,11 @@ val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> uni
     transaction (the response is [Aborted]); lazy propagation has no
     global conflict handling, so remote applies never abort. *)
 
-val serving : t -> bool
-
-val recover : t -> unit
-(** Rebuild local state from the server's own log after a restart (lazy
-    replication has no group to transfer state from; missed propagations
-    stay missing). *)
-
-val committed : t -> Db.Transaction.id -> bool
-val committed_count : t -> int
-val deadlock_aborts : t -> int
+val replica : t -> Replica.t
+(** The per-server half: serving state, committed view, step recorders. A
+    restart rebuilds the view from the server's own log (lazy replication
+    has no group to transfer state from; missed propagations stay
+    missing). *)
 
 val cross_site_conflicts : t -> int
 (** Remote writesets that conflicted with a concurrent local update of the

@@ -55,6 +55,7 @@ type t = {
   technique : technique;
   servers : Server.t array;
   replicas : replica array;
+  cores : Replica.t array;  (* each replica's per-server half *)
   mutable submitted : int;
   mutable acked_rev : ack list;
   acked_ids : unit Analysis.Int_tbl.t;
@@ -84,11 +85,7 @@ let n_servers t = Array.length t.servers
 let obs_registry t = t.obs_registry
 let obs_tracer t = t.obs_tracer
 
-let serving t i =
-  match t.replicas.(i) with
-  | Dsm_r r -> Dsm_replica.serving r
-  | Lazy_r r -> Lazy_replica.serving r
-  | Tpc_r r -> Twopc_replica.serving r
+let serving t i = Replica.serving t.cores.(i)
 
 let alive t i = Server.alive t.servers.(i)
 
@@ -123,7 +120,7 @@ let submit t ?on_response ~delegate tx =
           update = Db.Transaction.is_update tx;
         }
         :: t.acked_rev;
-      Workload.Metrics.record_response t.metrics ~submitted:submitted_at;
+      Workload.Metrics.record t.metrics ~submitted:submitted_at outcome;
       let latency = Sim.Sim_time.diff acked_at submitted_at in
       if Obs.Tracer.enabled t.obs_tracer then
         Obs.Tracer.complete t.obs_tracer ~name:"txn"
@@ -138,12 +135,10 @@ let submit t ?on_response ~delegate tx =
       match outcome with
       | Db.Testable_tx.Committed ->
         Obs.Registry.inc t.c_committed;
-        Obs.Histogram.add t.h_commit_us (Sim.Sim_time.span_to_us latency);
-        Workload.Metrics.record_commit t.metrics
+        Obs.Histogram.add t.h_commit_us (Sim.Sim_time.span_to_us latency)
       | Db.Testable_tx.Aborted ->
         Obs.Registry.inc t.c_aborted;
-        Obs.Histogram.add t.h_abort_us (Sim.Sim_time.span_to_us latency);
-        Workload.Metrics.record_abort t.metrics
+        Obs.Histogram.add t.h_abort_us (Sim.Sim_time.span_to_us latency)
     end;
     match on_response with Some k -> k outcome | None -> ()
   in
@@ -247,6 +242,13 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
     technique;
     servers;
     replicas;
+    cores =
+      Array.map
+        (function
+          | Dsm_r r -> Dsm_replica.replica r
+          | Lazy_r r -> Lazy_replica.replica r
+          | Tpc_r r -> Twopc_replica.replica r)
+        replicas;
     submitted = 0;
     acked_rev = [];
     acked_ids = Analysis.Int_tbl.create 1024;
@@ -317,16 +319,12 @@ let leaders t =
   Array.iteri
     (fun i r ->
       match r with
-      | Dsm_r r -> if Dsm_replica.serving r && Dsm_replica.is_leading r then out := i :: !out
+      | Dsm_r r -> if serving t i && Dsm_replica.is_leading r then out := i :: !out
       | Lazy_r _ | Tpc_r _ -> ())
     t.replicas;
   List.rev !out
 
-let committed_on t ~server id =
-  match t.replicas.(server) with
-  | Dsm_r r -> Dsm_replica.committed r id
-  | Lazy_r r -> Lazy_replica.committed r id
-  | Tpc_r r -> Twopc_replica.committed r id
+let committed_on t ~server id = Replica.committed t.cores.(server) id
 
 let values_of t ~server = Db.Db_engine.values_snapshot t.servers.(server).Server.db
 

@@ -28,22 +28,17 @@ type coord_state = {
 }
 
 type t = {
-  server : Server.t;
-  trace : Sim.Trace.t;
+  r : Replica.t;
   group : Net.Node_id.t list;
   others : Net.Node_id.t list;
-  view : Db.Testable_tx.t;
   prepared_log : prep_record Store.Stable_storage.t;
   prepared : prep_record Int_tbl.t;  (* in doubt, by transaction id *)
   coordinating : coord_state Int_tbl.t;
-  mutable ready : bool;
-  mutable deadlock_aborts : int;
   mutable vote_timeouts : int;
   mutable early_decision_broken : bool;  (* oracle-mutation hook; see mli *)
   c_prepares_sent : Obs.Registry.counter;
   c_votes : Obs.Registry.counter;
   c_ack_after_disk : Obs.Registry.counter;
-  o_tracer : Obs.Tracer.t;
   h_prepare_force : Obs.Histogram.t;  (* coordinator: 2PC start -> prepare durable *)
   h_vote_gather : Obs.Histogram.t;  (* coordinator: votes solicited -> decision *)
   h_decision_flush : Obs.Histogram.t;  (* coordinator: decision -> commit record durable *)
@@ -55,40 +50,17 @@ type t = {
 let lock_timeout = Sim.Sim_time.span_ms 300.
 let vote_timeout = Sim.Sim_time.span_s 1.
 
-let tr t kind attrs = Sim.Trace.record t.trace ~source:(Server.label t.server) ~kind attrs
-
-(* Per-transaction entries: their attribute strings are built only when the
-   trace records. *)
-let tr_tx t kind tx = Sim.Trace.record_tx t.trace ~source:(Server.label t.server) ~kind tx
-
-let tr_outcome t kind tx outcome =
-  Sim.Trace.record_tx_outcome t.trace ~source:(Server.label t.server) ~kind tx
-    ~outcome:(Db.Testable_tx.outcome_to_string outcome)
-
-let guard t k = Sim.Process.guard t.server.Server.process k
-let db t = t.server.Server.db
+let replica t = t.r
+let server t = t.r.Replica.server
+let db t = (server t).Server.db
 let locks t = Db.Db_engine.locks (db t)
-let now t = Sim.Engine.now (Db.Db_engine.engine (db t))
-
-(* Record one 2PC phase [from_, until) into its histogram and, when tracing,
-   as a complete span on this server's track — same shape as Dsm_replica's
-   phases, so 2PC and broadcast-based Chrome traces compare side by side. *)
-let observe_phase t h ~name ~tx ~from_ ~until =
-  let dur = Sim.Sim_time.diff until from_ in
-  Obs.Histogram.add h (Sim.Sim_time.span_to_us dur);
-  Obs.Tracer.complete_tx t.o_tracer ~name
-    ~cat:(Safety.to_string Safety.Two_safe)
-    ~tid:t.server.Server.index ~ts:from_ ~dur tx
-
 let node_of_index t index = List.find (fun n -> Net.Node_id.index n = index) t.group
-let send t dst payload = Net.Endpoint.send t.server.Server.endpoint ~dst payload
-let serving t = Sim.Process.alive t.server.Server.process && t.ready
+let send t dst payload = Net.Endpoint.send (server t).Server.endpoint ~dst payload
 
 let record_outcome t tx outcome =
-  if not (Db.Testable_tx.already_processed t.view tx) then begin
-    Db.Testable_tx.record t.view tx outcome;
-    Db.Testable_tx.record (Db.Db_engine.testable (db t)) tx outcome;
-    tr_outcome t "decide" tx outcome
+  if not (Db.Testable_tx.already_processed t.r.Replica.view tx) then begin
+    Db.Testable_tx.record t.r.Replica.view tx outcome;
+    Replica.tr_outcome t.r "decide" tx outcome
   end
 
 (* ---- Coordinator ---- *)
@@ -101,8 +73,8 @@ let coordinator_decide t tx_id commit =
       c.c_decided <- true;
       Int_tbl.remove t.coordinating tx_id;
       Int_tbl.remove t.prepared tx_id;
-      let decided_at = now t in
-      observe_phase t t.h_vote_gather ~name:"votes" ~tx:tx_id ~from_:c.c_voting_from
+      let decided_at = Replica.now t.r in
+      Replica.observe_phase t.r t.h_vote_gather ~name:"votes" ~tx:tx_id ~from_:c.c_voting_from
         ~until:decided_at;
       let release () = Db.Lock_table.release_all (locks t) ~tx:tx_id in
       if commit then begin
@@ -117,12 +89,11 @@ let coordinator_decide t tx_id commit =
            transaction on the participants and abort it here. *)
         Db.Db_engine.log_commit (db t) ~tx:tx_id ~decision:Db.Certifier.Commit ~writes:c.c_writes
           ~k:
-            (guard t (fun () ->
-                 observe_phase t t.h_decision_flush ~name:"decision_flush" ~tx:tx_id
-                   ~from_:decided_at ~until:(now t);
-                 tr_outcome t "respond" tx_id Db.Testable_tx.Committed;
+            (Replica.guard t.r (fun () ->
+                 Replica.observe_phase t.r t.h_decision_flush ~name:"decision_flush" ~tx:tx_id
+                   ~from_:decided_at ~until:(Replica.now t.r);
                  Obs.Registry.inc t.c_ack_after_disk;
-                 c.c_respond Db.Testable_tx.Committed;
+                 Replica.respond t.r tx_id Db.Testable_tx.Committed c.c_respond;
                  List.iter
                    (fun p -> send t p (Tpc_decision { tx_id; commit = true; writes = c.c_writes }))
                    t.others));
@@ -132,8 +103,7 @@ let coordinator_decide t tx_id commit =
       else begin
         record_outcome t tx_id Db.Testable_tx.Aborted;
         Db.Db_engine.log_commit_quiet (db t) ~tx:tx_id ~decision:Db.Certifier.Abort ~writes:[];
-        tr_outcome t "respond" tx_id Db.Testable_tx.Aborted;
-        c.c_respond Db.Testable_tx.Aborted;
+        Replica.respond t.r tx_id Db.Testable_tx.Aborted c.c_respond;
         List.iter (fun p -> send t p (Tpc_decision { tx_id; commit = false; writes = [] })) t.others;
         release ()
       end
@@ -142,7 +112,7 @@ let coordinator_decide t tx_id commit =
 let start_two_phase_commit t tx ~on_response =
   let tx_id = tx.Db.Transaction.id in
   let writes = Db.Transaction.writes tx in
-  let started_at = now t in
+  let started_at = Replica.now t.r in
   let c =
     {
       c_writes = writes;
@@ -155,20 +125,20 @@ let start_two_phase_commit t tx ~on_response =
   in
   Int_tbl.replace t.coordinating tx_id c;
   (* Force the coordinator's own prepare record, then solicit votes. *)
-  let self = t.server.Server.index in
+  let self = (server t).Server.index in
   Store.Stable_storage.append t.prepared_log { p_tx = tx_id; p_writes = writes; p_coord = self }
     ~on_durable:
-      (guard t (fun () ->
-           observe_phase t t.h_prepare_force ~name:"prepare_force" ~tx:tx_id ~from_:c.c_started
-             ~until:(now t);
-           c.c_voting_from <- now t;
+      (Replica.guard t.r (fun () ->
+           Replica.observe_phase t.r t.h_prepare_force ~name:"prepare_force" ~tx:tx_id
+             ~from_:c.c_started ~until:(Replica.now t.r);
+           c.c_voting_from <- Replica.now t.r;
            Obs.Registry.inc t.c_prepares_sent;
            List.iter (fun p -> send t p (Tpc_prepare { tx_id; writes; coordinator = self })) t.others));
-  Sim.Process.after t.server.Server.process vote_timeout (fun () ->
+  Sim.Process.after (server t).Server.process vote_timeout (fun () ->
       match Int_tbl.find_opt t.coordinating tx_id with
       | Some c when not c.c_decided ->
         t.vote_timeouts <- t.vote_timeouts + 1;
-        tr_tx t "vote_timeout" tx_id;
+        Replica.tr_tx t.r "vote_timeout" tx_id;
         coordinator_decide t tx_id false
       | Some _ | None -> ())
 
@@ -205,8 +175,8 @@ let apply_decision t tx_id commit writes =
   Db.Lock_table.release_all (locks t) ~tx:tx_id
 
 let handle_prepare t tx_id writes coordinator =
-  if serving t && not (Db.Testable_tx.already_processed t.view tx_id) then begin
-    let prepare_in = now t in
+  if Replica.serving t.r && not (Db.Testable_tx.already_processed t.r.Replica.view tx_id) then begin
+    let prepare_in = Replica.now t.r in
     let coord_node = node_of_index t coordinator in
     let items = List.map fst writes in
     let granted_all = ref false in
@@ -214,34 +184,34 @@ let handle_prepare t tx_id writes coordinator =
     let vote_no () =
       if not !abandoned then begin
         abandoned := true;
-        t.deadlock_aborts <- t.deadlock_aborts + 1;
         Db.Lock_table.release_all (locks t) ~tx:tx_id;
         send t coord_node (Tpc_vote { tx_id; yes = false })
       end
     in
     (* Waiting too long for locks means a (possibly distributed) deadlock:
        vote no and let the coordinator abort. *)
-    Sim.Process.after t.server.Server.process lock_timeout (fun () ->
+    Sim.Process.after (server t).Server.process lock_timeout (fun () ->
         if (not !granted_all) && not !abandoned then vote_no ());
     let rec acquire = function
       | [] ->
         granted_all := true;
-        if (not !abandoned) && not (Db.Testable_tx.already_processed t.view tx_id) then begin
+        if (not !abandoned) && not (Db.Testable_tx.already_processed t.r.Replica.view tx_id)
+        then begin
           let record = { p_tx = tx_id; p_writes = writes; p_coord = coordinator } in
           Int_tbl.replace t.prepared tx_id record;
           Store.Stable_storage.append t.prepared_log record
             ~on_durable:
-              (guard t (fun () ->
+              (Replica.guard t.r (fun () ->
                    if Int_tbl.mem t.prepared tx_id then begin
-                     observe_phase t t.h_participant_prepare ~name:"participant_prepare"
-                       ~tx:tx_id ~from_:prepare_in ~until:(now t);
+                     Replica.observe_phase t.r t.h_participant_prepare ~name:"participant_prepare"
+                       ~tx:tx_id ~from_:prepare_in ~until:(Replica.now t.r);
                      send t coord_node (Tpc_vote { tx_id; yes = true })
                    end))
         end
       | item :: rest -> begin
           match
             Db.Lock_table.acquire (locks t) ~tx:tx_id ~item ~mode:Db.Lock_table.Exclusive
-              ~granted:(guard t (fun () -> if not !abandoned then acquire rest))
+              ~granted:(Replica.guard t.r (fun () -> if not !abandoned then acquire rest))
           with
           | `Ok -> ()
           | `Deadlock -> vote_no ()
@@ -251,11 +221,12 @@ let handle_prepare t tx_id writes coordinator =
   end
 
 let handle_decision t tx_id commit writes =
-  if not (Db.Testable_tx.already_processed t.view tx_id) then apply_decision t tx_id commit writes
+  if not (Db.Testable_tx.already_processed t.r.Replica.view tx_id) then
+    apply_decision t tx_id commit writes
   else Int_tbl.remove t.prepared tx_id
 
 let handle_decision_req t src tx_id =
-  match Db.Testable_tx.find t.view tx_id with
+  match Db.Testable_tx.find t.r.Replica.view tx_id with
   | Some Db.Testable_tx.Committed when t.early_decision_broken ->
     (* Mutated (pre-fix) behaviour: answer from the in-memory view before
        the commit record is durable, with whatever writes we have — none.
@@ -280,55 +251,23 @@ let handle_decision_req t src tx_id =
   | Some Db.Testable_tx.Aborted -> send t src (Tpc_decision { tx_id; commit = false; writes = [] })
   | None -> () (* still undecided here; the requester retries *)
 
-(* ---- Client-facing execution (same local 2PL as the lazy technique) ---- *)
-
-let execute_ops t tx ~k =
-  let id = tx.Db.Transaction.id in
-  let rec step = function
-    | [] -> k `Done
-    | op :: rest ->
-      let item = Db.Op.item op in
-      let mode = if Db.Op.is_write op then Db.Lock_table.Exclusive else Db.Lock_table.Shared in
-      let continue () =
-        match op with
-        | Db.Op.Read _ -> Db.Db_engine.read (db t) ~item ~k:(fun _ -> step rest)
-        | Db.Op.Write _ -> step rest
-      in
-      (match Db.Lock_table.acquire (locks t) ~tx:id ~item ~mode ~granted:(guard t continue) with
-       | `Ok -> ()
-       | `Deadlock -> k `Deadlock)
-  in
-  step tx.Db.Transaction.ops
+(* ---- Client-facing execution ---- *)
 
 let submit t tx ~on_response =
-  if serving t then begin
+  if Replica.admit t.r tx ~on_response then begin
     let id = tx.Db.Transaction.id in
-    if Db.Transaction.is_update tx && Db.Db_engine.disk_full (db t) then begin
-      (* Graceful degradation under a full disk: refuse to coordinate new
-         update work with a distinct abort; reads and participant traffic
-         continue. *)
-      tr_tx t "disk_full_abort" id;
-      Db.Db_engine.note_degraded (db t);
-      on_response Db.Testable_tx.Aborted
-    end
-    else begin
-    tr_tx t "submit" id;
-    execute_ops t tx ~k:(fun result ->
+    Replica.execute_locked t.r tx ~k:(fun result ->
         match result with
         | `Deadlock ->
-          t.deadlock_aborts <- t.deadlock_aborts + 1;
           Db.Lock_table.release_all (locks t) ~tx:id;
           record_outcome t id Db.Testable_tx.Aborted;
-          tr_outcome t "respond" id Db.Testable_tx.Aborted;
-          on_response Db.Testable_tx.Aborted
+          Replica.respond t.r id Db.Testable_tx.Aborted on_response
         | `Done ->
           if Db.Transaction.is_update tx then start_two_phase_commit t tx ~on_response
           else begin
             Db.Lock_table.release_all (locks t) ~tx:id;
-            tr_outcome t "respond" id Db.Testable_tx.Committed;
-            on_response Db.Testable_tx.Committed
+            Replica.respond t.r id Db.Testable_tx.Committed on_response
           end)
-    end
   end
 
 (* ---- Recovery ---- *)
@@ -339,19 +278,16 @@ let resolve_in_doubt t =
     t.prepared
 
 let rec recover t =
-  let report = Db.Db_engine.recover_now (db t) in
-  if report.Db.Db_engine.repairs <> [] then
-    tr t "wal_repair" [ ("repairs", string_of_int (List.length report.Db.Db_engine.repairs)) ];
-  Db.Testable_tx.thaw t.view (Db.Testable_tx.freeze (Db.Db_engine.testable (db t)));
+  Replica.recover_local t.r;
   Int_tbl.reset t.prepared;
   (* Re-discover in-doubt transactions: durably prepared, no decision on
      disk. Transactions this server itself coordinated are resolved by
      presumed abort (the crash interrupted the vote); the rest stay blocked
      until their coordinator answers. *)
-  let self = t.server.Server.index in
+  let self = (server t).Server.index in
   List.iter
     (fun record ->
-      if not (Db.Testable_tx.already_processed t.view record.p_tx) then begin
+      if not (Db.Testable_tx.already_processed t.r.Replica.view record.p_tx) then begin
         if record.p_coord = self then begin
           record_outcome t record.p_tx Db.Testable_tx.Aborted;
           Db.Db_engine.log_commit_quiet (db t) ~tx:record.p_tx ~decision:Db.Certifier.Abort
@@ -362,16 +298,16 @@ let rec recover t =
         end
         else begin
           Int_tbl.replace t.prepared record.p_tx record;
-          tr_tx t "in_doubt" record.p_tx
+          Replica.tr_tx t.r "in_doubt" record.p_tx
         end
       end)
     (Store.Stable_storage.durable_records t.prepared_log);
-  t.ready <- true;
+  t.r.Replica.ready <- true;
   resolve_in_doubt t;
   arm_in_doubt_retry t
 
 and arm_in_doubt_retry t =
-  Sim.Process.periodic t.server.Server.process ~every:(Sim.Sim_time.span_ms 500.) (fun () ->
+  Sim.Process.periodic (server t).Server.process ~every:(Sim.Sim_time.span_ms 500.) (fun () ->
       if Int_tbl.length t.prepared > 0 then resolve_in_doubt t)
 
 let create server ~group ~registry ~tracer ~trace =
@@ -391,22 +327,17 @@ let create server ~group ~registry ~tracer ~trace =
   in
   let t =
     {
-      server;
-      trace;
+      r = Replica.create server ~level:Safety.Two_safe ~tracer ~trace;
       group;
       others;
-      view = Db.Testable_tx.create ();
       prepared_log;
       prepared = Int_tbl.create 64;
       coordinating = Int_tbl.create 64;
-      ready = true;
-      deadlock_aborts = 0;
       vote_timeouts = 0;
       early_decision_broken = false;
       c_prepares_sent = Obs.Registry.counter registry "2pc.prepares_sent";
       c_votes = Obs.Registry.counter registry "2pc.votes";
       c_ack_after_disk = Obs.Registry.counter registry "txn.ack_after_disk";
-      o_tracer = tracer;
       h_prepare_force = Obs.Registry.histogram registry "2pc.prepare_force_us";
       h_vote_gather = Obs.Registry.histogram registry "2pc.vote_gather_us";
       h_decision_flush = Obs.Registry.histogram registry "2pc.decision_flush_us";
@@ -430,11 +361,9 @@ let create server ~group ~registry ~tracer ~trace =
         true
       | _ -> false);
   Sim.Process.on_kill server.Server.process (fun () ->
-      t.ready <- false;
       Store.Stable_storage.crash prepared_log;
       Int_tbl.reset t.coordinating;
-      Int_tbl.reset t.prepared;
-      Db.Testable_tx.reset t.view);
+      Int_tbl.reset t.prepared);
   Sim.Process.on_restart server.Server.process (fun () -> recover t);
   (* A participant whose decision message is lost on the wire must not stay
      in-doubt forever: poll the coordinator while anything is prepared but
@@ -442,13 +371,6 @@ let create server ~group ~registry ~tracer ~trace =
   arm_in_doubt_retry t;
   t
 
-let committed t id =
-  match Db.Testable_tx.find t.view id with
-  | Some Db.Testable_tx.Committed -> true
-  | Some Db.Testable_tx.Aborted | None -> false
-
-let committed_count t = Db.Testable_tx.committed_count t.view
-let deadlock_aborts t = t.deadlock_aborts
 let vote_timeouts t = t.vote_timeouts
 let in_doubt t = Int_tbl.length t.prepared
 let break_early_decision t = t.early_decision_broken <- true

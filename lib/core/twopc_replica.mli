@@ -12,7 +12,7 @@
 
     - a write conflict between concurrent coordinators at two sites blocks
       lock queues in opposite orders at different participants: a
-      {e distributed deadlock}, resolved only by timeouts (counted);
+      {e distributed deadlock}, resolved only by timeouts;
     - one unreachable participant stalls the vote and forces an abort —
       commit availability requires every server;
     - a participant that crashes after voting yes recovers {e in doubt}
@@ -45,15 +45,8 @@ val submit : t -> Db.Transaction.t -> on_response:(Db.Testable_tx.outcome -> uni
     the full 2PC round: [Committed] on unanimous yes votes, [Aborted] on a
     local deadlock, a no vote, or a vote timeout. *)
 
-val serving : t -> bool
-val recover : t -> unit
-
-val committed : t -> Db.Transaction.id -> bool
-val committed_count : t -> int
-
-val deadlock_aborts : t -> int
-(** Transactions aborted by local deadlock detection or lock timeouts —
-    the distributed-deadlock casualties. *)
+val replica : t -> Replica.t
+(** The per-server half: serving state, committed view, step recorders. *)
 
 val vote_timeouts : t -> int
 (** Coordinator-side aborts caused by missing votes. *)

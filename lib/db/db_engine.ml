@@ -150,7 +150,10 @@ let replay t (records : Wal_codec.record list) =
       if r.seq >= t.next_seq then t.next_seq <- r.seq + 1)
     records
 
-let recover_now t =
+(* The recovery scan: repair the durable WAL, replay what remains and keep
+   the report as [last_repair]. A second scan of a repaired log would find
+   nothing and overwrite the report, so it runs once per restart. *)
+let scan_and_replay t =
   let frames = wal_frames t in
   let records, repairs = decode_frames t frames in
   (* Capture how many injected faults this scan was responsible for
@@ -179,9 +182,7 @@ let recover_now t =
      consumed and must not be demanded of a later scan. *)
   t.corrupt_pending <- [];
   replay t records;
-  let report = { scanned = List.length frames; replayed = List.length records; repairs } in
-  t.last_repair <- Some report;
-  report
+  t.last_repair <- Some { scanned = List.length frames; replayed = List.length records; repairs }
 
 let create ?registry engine ~process ~cpus ~disks ~rng config =
   let pool = Store.Buffer_pool.create (Sim.Rng.split rng) config.buffer in
@@ -252,9 +253,9 @@ let create ?registry engine ~process ~cpus ~disks ~rng config =
       t.lock_table <- Lock_table.create ());
   (* Self-healing restart: scan (and physically repair) the local WAL
      before any replication-layer recovery hook runs — registration order
-     guarantees this hook fires first. Replica layers that replay the WAL
-     themselves just see the already-repaired log. *)
-  Sim.Process.on_restart process (fun () -> ignore (recover_now t : repair_report));
+     guarantees this hook fires first. Replica layers read its result
+     ([testable], [last_repair]) instead of scanning again. *)
+  Sim.Process.on_restart process (fun () -> scan_and_replay t);
   t
 
 let value t item = t.values.(item)
@@ -390,7 +391,7 @@ let durable_commits t =
 let recover t ~k =
   Sim.Resource.request t.disks ~duration:(io_time t)
     (guard t (fun () ->
-         ignore (recover_now t : repair_report);
+         scan_and_replay t;
          k ()))
 
 let buffer_hit_ratio t = Store.Buffer_pool.hit_ratio t.pool

@@ -163,8 +163,8 @@ val testable : t -> Testable_tx.t
 
 val wal_records : t -> wal_record list
 (** Durable WAL contents that decode cleanly, oldest first (inspection /
-    checkers). Damaged frames are skipped, not repaired — that is
-    {!recover_now}'s job. *)
+    checkers). Damaged frames are skipped, not repaired — that is the
+    recovery scan's job (see {!recover}). *)
 
 val inject : t -> fault -> unit
 (** Arm (or, for [Wipe_wal] and [Corrupt_record], immediately perform) a
@@ -202,13 +202,12 @@ val durable_commits : t -> int
     disk. *)
 
 val recover : t -> k:(unit -> unit) -> unit
-(** Rebuilds in-memory values and the testable-transaction table by
-    replaying the durable WAL (one timed disk read), then calls [k]. *)
-
-val recover_now : t -> repair_report
-(** {!recover} without the timed disk read: scan the durable WAL, repair
-    it (truncate a torn tail, drop records that fail their checksum),
-    replay what remains, and report what was done. Idempotent: a second
-    scan of a repaired log reports no repairs. *)
+(** After one timed disk read, scan the durable WAL, repair it (truncate a
+    torn tail, drop records that fail their checksum), rebuild the
+    in-memory values and the testable-transaction table by replaying what
+    remains, record the {!repair_report} as {!last_repair}, then call [k].
+    The restart hook runs the same scan without the disk read. A second
+    scan of a repaired log reports no repairs, so recovery layers read
+    {!last_repair} and {!testable} instead of scanning again. *)
 
 val buffer_hit_ratio : t -> float

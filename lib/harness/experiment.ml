@@ -667,14 +667,6 @@ let verdict (acked, report) =
   else if report.Safety_checker.lost = [] then "no loss"
   else "LOST"
 
-let technique_of_level = function
-  | Safety.Zero_safe -> Some (System.Lazy Lazy_replica.Zero_safe_mode)
-  | Safety.One_safe -> Some (System.Lazy Lazy_replica.One_safe_mode)
-  | Safety.Group_safe -> Some (System.Dsm Dsm_replica.Group_safe_mode)
-  | Safety.Group_one_safe -> Some (System.Dsm Dsm_replica.Group_one_safe_mode)
-  | Safety.Two_safe -> Some (System.Dsm Dsm_replica.Two_safe_mode)
-  | Safety.Very_safe -> Some (System.Dsm Dsm_replica.Very_safe_mode)
-
 (* Worst-case schedules per crash budget. The delegate is server 0. *)
 let no_crash_cell ?seed technique = scenario ?seed technique ~pre:nop ~at_ack:nop ~later:nop
 
@@ -721,11 +713,7 @@ let table2 ?seed () =
         | Safety.Tolerates_none | Safety.Tolerates_minority -> "loss possible"
       end
   in
-  let with_technique =
-    List.filter_map
-      (fun level -> Option.map (fun t -> (level, t)) (technique_of_level level))
-      levels
-  in
+  let with_technique = List.map (fun level -> (level, System.technique_of_level level)) levels in
   (* The scenario matrix: every (level, crash budget) cell is one
      independent acknowledged-transaction replay — 3 cells per level, all
      fanned out together and joined by index. *)

@@ -164,6 +164,21 @@ let post t src ~dst payload =
 
 let committed o = Db.Testable_tx.outcome_equal o Db.Testable_tx.Committed
 
+(* Book one client answer on the shard that gave it: the global ack the
+   atomicity audit reads, and the shard's workload metrics. *)
+let book s tx ~submitted ~cross ~write_parts outcome =
+  s.ss_gacks <-
+    {
+      g_tx = tx.Db.Transaction.id;
+      g_outcome = outcome;
+      g_at = Sim.Engine.now (System.engine s.ss_sys);
+      g_update = Db.Transaction.is_update tx;
+      g_cross = cross;
+      g_write_parts = write_parts;
+    }
+    :: s.ss_gacks;
+  Workload.Metrics.record s.ss_metrics ~submitted outcome
+
 let rec deliver t dst payload =
   match payload with
   | Prepare { p_gtx; p_probe; p_home; p_delegate } ->
@@ -271,21 +286,9 @@ and handle_dec_ack t home ~gtx ~shard ~acked =
    a Committed answer means every participating shard acknowledged its
    write sub-transaction. *)
 and finish t home c outcome =
-  let s = t.states.(home) in
-  s.ss_gacks <-
-    {
-      g_tx = c.c_tx.Db.Transaction.id;
-      g_outcome = outcome;
-      g_at = Sim.Engine.now (System.engine s.ss_sys);
-      g_update = Db.Transaction.is_update c.c_tx;
-      g_cross = true;
-      g_write_parts = List.sort (fun (a, _) (b, _) -> Int.compare a b) c.c_write_parts;
-    }
-    :: s.ss_gacks;
-  Workload.Metrics.record_response s.ss_metrics ~submitted:c.c_submitted;
-  (match outcome with
-  | Db.Testable_tx.Committed -> Workload.Metrics.record_commit s.ss_metrics
-  | Db.Testable_tx.Aborted -> Workload.Metrics.record_abort s.ss_metrics);
+  book t.states.(home) c.c_tx ~submitted:c.c_submitted ~cross:true
+    ~write_parts:(List.sort (fun (a, _) (b, _) -> Int.compare a b) c.c_write_parts)
+    outcome;
   match c.c_on_response with Some f -> f outcome | None -> ()
 
 (* ---- submission ---- *)
@@ -308,23 +311,9 @@ let submit t ?on_response ~delegate tx =
     let s = t.states.(shard) in
     Obs.Registry.inc s.ss_x.x_fast;
     let submitted = Sim.Engine.now (System.engine s.ss_sys) in
-    let update = Db.Transaction.is_update tx in
     System.submit s.ss_sys ~delegate:local
       ~on_response:(fun o ->
-        s.ss_gacks <-
-          {
-            g_tx = tx.Db.Transaction.id;
-            g_outcome = o;
-            g_at = Sim.Engine.now (System.engine s.ss_sys);
-            g_update = update;
-            g_cross = false;
-            g_write_parts = [];
-          }
-          :: s.ss_gacks;
-        Workload.Metrics.record_response s.ss_metrics ~submitted;
-        (match o with
-        | Db.Testable_tx.Committed -> Workload.Metrics.record_commit s.ss_metrics
-        | Db.Testable_tx.Aborted -> Workload.Metrics.record_abort s.ss_metrics);
+        book s tx ~submitted ~cross:false ~write_parts:[] o;
         match on_response with Some f -> f o | None -> ())
       tx
   | parts ->

@@ -5,8 +5,6 @@ type series = {
      variance stay O(1) even for very long runs. *)
   mutable w_mean : float;
   mutable w_m2 : float;
-  mutable lo : float;
-  mutable hi : float;
   mutable sorted : float array option; (* cache, invalidated on add *)
 }
 
@@ -16,8 +14,6 @@ let series (_name : string) =
     size = 0;
     w_mean = 0.;
     w_m2 = 0.;
-    lo = nan;
-    hi = nan;
     sorted = None;
   }
 
@@ -33,22 +29,12 @@ let add s x =
   let delta = x -. s.w_mean in
   s.w_mean <- s.w_mean +. (delta /. float_of_int s.size);
   s.w_m2 <- s.w_m2 +. (delta *. (x -. s.w_mean));
-  if s.size = 1 then begin
-    s.lo <- x;
-    s.hi <- x
-  end
-  else begin
-    if x < s.lo then s.lo <- x;
-    if x > s.hi then s.hi <- x
-  end;
   s.sorted <- None
 
 let count s = s.size
 let mean s = if s.size = 0 then nan else s.w_mean
 let variance s = if s.size < 2 then nan else s.w_m2 /. float_of_int (s.size - 1)
 let stddev s = sqrt (variance s)
-let min_value s = s.lo
-let max_value s = s.hi
 
 let sorted_samples s =
   match s.sorted with
@@ -71,49 +57,12 @@ let percentile s p =
     a.(lo_idx) +. (frac *. (a.(hi_idx) -. a.(lo_idx)))
   end
 
-let median s = percentile s 50.
-
 let confidence95 s =
   if s.size < 2 then nan else 1.96 *. stddev s /. sqrt (float_of_int s.size)
 
 let samples s = Array.sub s.data 0 s.size
 
-let histogram s ~bins =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if s.size = 0 then []
-  else begin
-    let lo = s.lo and hi = s.hi in
-    let width = (hi -. lo) /. float_of_int bins in
-    if width <= 0. then [ (lo, hi, s.size) ]
-    else begin
-      let counts = Array.make bins 0 in
-      Array.iter
-        (fun x ->
-          let b = Stdlib.min (bins - 1) (int_of_float ((x -. lo) /. width)) in
-          counts.(b) <- counts.(b) + 1)
-        (Array.sub s.data 0 s.size);
-      List.init bins (fun b ->
-          (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
-    end
-  end
-
 let merge name ss =
   let out = series name in
   List.iter (fun s -> Array.iter (add out) (samples s)) ss;
   out
-
-let clear s =
-  s.size <- 0;
-  s.w_mean <- 0.;
-  s.w_m2 <- 0.;
-  s.lo <- nan;
-  s.hi <- nan;
-  s.sorted <- None
-
-type counter = { mutable n : int }
-
-let counter (_name : string) = { n = 0 }
-let incr c = c.n <- c.n + 1
-let incr_by c k = c.n <- c.n + k
-let value c = c.n
-let reset c = c.n <- 0

@@ -19,13 +19,16 @@ let set_warmup t at = t.warmup <- at
 
 let past_warmup t = Sim.Sim_time.(Sim.Engine.now t.engine >= t.warmup)
 
-let record_response t ~submitted =
-  if past_warmup t && Sim.Sim_time.(submitted >= t.warmup) then
-    Sim.Stats.add t.responses
-      (Sim.Sim_time.span_to_ms (Sim.Sim_time.diff (Sim.Engine.now t.engine) submitted))
+let record t ~submitted outcome =
+  if past_warmup t then begin
+    if Sim.Sim_time.(submitted >= t.warmup) then
+      Sim.Stats.add t.responses
+        (Sim.Sim_time.span_to_ms (Sim.Sim_time.diff (Sim.Engine.now t.engine) submitted));
+    match outcome with
+    | Db.Testable_tx.Committed -> t.commits <- t.commits + 1
+    | Db.Testable_tx.Aborted -> t.aborts <- t.aborts + 1
+  end
 
-let record_commit t = if past_warmup t then t.commits <- t.commits + 1
-let record_abort t = if past_warmup t then t.aborts <- t.aborts + 1
 let responses t = t.responses
 let mean_response_ms t = Sim.Stats.mean t.responses
 let p95_response_ms t = Sim.Stats.percentile t.responses 95.

@@ -12,12 +12,11 @@ val create : Sim.Engine.t -> t
 val set_warmup : t -> Sim.Sim_time.t -> unit
 (** Samples recorded before this instant are ignored. *)
 
-val record_response : t -> submitted:Sim.Sim_time.t -> unit
-(** Records one client response with the given submission instant; the
-    response time is measured to "now". *)
-
-val record_commit : t -> unit
-val record_abort : t -> unit
+val record : t -> submitted:Sim.Sim_time.t -> Db.Testable_tx.outcome -> unit
+(** Books one client answer arriving now for a transaction submitted at
+    [submitted]. The outcome counts only if it arrives after the warm-up
+    boundary; the response time counts only if the transaction was also
+    submitted after it. *)
 
 val responses : t -> Sim.Stats.series
 val mean_response_ms : t -> float

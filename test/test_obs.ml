@@ -272,6 +272,26 @@ let test_disabled_sinks_allocate_nothing () =
       Sim.Trace.record_tx_outcome trace ~source:"S1" ~kind:"respond" tx ~outcome:"committed");
   nothing "Tracer.complete_tx" (fun tx ->
       Obs.Tracer.complete_tx tracer ~name:"wal" ~cat:"group-safe" ~tid:1 ~ts ~dur tx);
+  (* The replicas' own recorders, on a system with both sinks off. *)
+  let sys =
+    Groupsafe.System.create ~trace_enabled:false
+      (Groupsafe.System.Dsm Groupsafe.Dsm_replica.Group_safe_mode)
+  in
+  let r =
+    match Groupsafe.System.dsm_replica sys 0 with
+    | Some d -> Groupsafe.Dsm_replica.replica d
+    | None -> Alcotest.fail "no DSM replica"
+  in
+  let h = H.create () and until = Sim.Sim_time.add ts dur in
+  nothing "Replica.tr_tx" (fun tx -> Groupsafe.Replica.tr_tx r "deliver" tx);
+  nothing "Replica.tr_outcome" (fun tx ->
+      Groupsafe.Replica.tr_outcome r "respond" tx Db.Testable_tx.Committed);
+  nothing "Replica.observe_phase" (fun tx ->
+      Groupsafe.Replica.observe_phase r h ~name:"wal" ~tx ~from_:ts ~until);
+  check_int "every phase sampled" 1025 (H.count h);
+  check_int "nothing traced" 0 (Sim.Trace.length (Groupsafe.System.trace sys));
+  check_bool "no replica spans" true
+    (Obs.Tracer.events (Groupsafe.System.obs_tracer sys) = []);
   let eager tx = Sim.Trace.record trace ~source:"S1" ~kind:"deliver" [ ("tx", string_of_int tx) ] in
   check_bool "the eager form allocates per call" true (words eager >= 1024. *. 6.);
   check_int "nothing recorded" 0 (Sim.Trace.length trace);

@@ -403,6 +403,37 @@ let test_torn_leader_tail () =
   check_bool "verdict clean" true t.E.t_verdict.Check.Durability.clean;
   check_bool "overall" true t.E.t_ok
 
+(* The restart's WAL scan is the recovery scan: whatever it repaired must
+   still be what [System.last_repair] reports once every technique's own
+   recovery has run, not an empty report from a second scan of the already
+   repaired log. *)
+let test_repair_report_survives_recovery () =
+  List.iter
+    (fun technique ->
+      let name = System.technique_name technique in
+      let params = { Workload.Params.table4 with Workload.Params.servers = 3 } in
+      let sys = System.create ~seed:3L ~params technique in
+      for i = 0 to 3 do
+        System.submit sys ~delegate:0
+          (Db.Transaction.make ~id:(100 + i) ~client:0 [ Db.Op.Write (i, i + 1) ]);
+        System.run_for sys (ms 100.)
+      done;
+      System.run_for sys (ms 500.);
+      System.inject_storage_fault sys 0 Db.Db_engine.Torn_write;
+      System.crash sys 0;
+      System.run_for sys (ms 100.);
+      System.recover sys 0;
+      System.run_for sys (ms 1000.);
+      check_bool (name ^ ": the crash tore a record") true
+        ((System.storage_faults sys 0).Db.Db_engine.torn_fired = 1);
+      let repairs =
+        match System.last_repair sys 0 with
+        | Some r -> List.length r.Db.Db_engine.repairs
+        | None -> 0
+      in
+      check_bool (name ^ ": the restart's repair is still reported") true (repairs > 0))
+    System.all_techniques
+
 let lie_crash technique expected_class =
   let f = E.fsync_lie_group_crash (E.default_config ~storage:true technique) in
   check_bool "acked commits exist" true (f.E.f_acked > 0);
@@ -520,6 +551,8 @@ let () =
       ( "directed",
         [
           Alcotest.test_case "torn leader tail repaired" `Quick test_torn_leader_tail;
+          Alcotest.test_case "repair report survives recovery" `Quick
+            test_repair_report_survives_recovery;
           Alcotest.test_case "fsync-lie group crash at 1-safe" `Quick test_lie_one_safe;
           Alcotest.test_case "fsync-lie group crash at group-safe" `Quick test_lie_group_safe;
           Alcotest.test_case "fsync-lie group crash at 2-safe" `Quick test_lie_two_safe;

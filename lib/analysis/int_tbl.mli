@@ -4,8 +4,11 @@
     ints, and the simulator looks them up several times per simulated event.
     The polymorphic [Hashtbl] pays a C call to the generic hash and a
     structural comparison per probe; this table is [Hashtbl.Make] over
-    [int] with [Int.equal] and the key itself (sign bit cleared) as the
-    hash, so a probe is a mask, an array read and an integer compare.
+    [int] with [Int.equal] and a shift-xor fold of the key,
+    [(x lxor (x lsr 3)) land max_int], as the hash, so a probe is a few
+    integer operations, an array read and an integer compare. The fold
+    keeps dense keys in neighbouring buckets and spreads strided ones (a
+    shard's transaction ids step by the shard count) over every bucket.
 
     The table type is abstract and the only enumerations are in ascending
     key order ({!iter_sorted}, {!fold_sorted}), so bucket order can never
@@ -26,6 +29,11 @@ val replace : 'a t -> int -> 'a -> unit
 val remove : 'a t -> int -> unit
 val find_opt : 'a t -> int -> 'a option
 val mem : 'a t -> int -> bool
+
+val stats : 'a t -> Hashtbl.statistics
+(** Bucket statistics, as [Hashtbl.stats]: how evenly the hash spreads the
+    keys. A bucket of [n] bindings costs [(n + 1) / 2] probes per hit on
+    average. *)
 
 val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit
 (** [iter_sorted f t] applies [f] to every binding in ascending key order.

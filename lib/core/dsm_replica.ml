@@ -28,7 +28,7 @@ end
    deterministic processing exactly where the donor stands. *)
 module Snapshot = struct
   type t = {
-    values : int array;
+    values : Db.Db_engine.snapshot;
     view : Db.Testable_tx.frozen;
     cert : Db.Certifier.frozen;
     pending : cert_ws list;

@@ -326,7 +326,7 @@ let leaders t =
 
 let committed_on t ~server id = Replica.committed t.cores.(server) id
 
-let values_of t ~server = Db.Db_engine.values_snapshot t.servers.(server).Server.db
+let values_of t ~server = Db.Db_engine.values t.servers.(server).Server.db
 
 let history t i =
   {

@@ -53,7 +53,11 @@ type t = {
   disks : Sim.Resource.t;
   rng : Sim.Rng.t;
   config : config;
-  mutable values : int array;
+  (* Item values, 8 bytes each at offset [8 * item]: a block the GC never
+     scans, so a snapshot or its install is one memcpy and a fresh server
+     one memset. An int array this large lives in the major heap, where a
+     copy initialises every element through [caml_initialize]. *)
+  values : Bytes.t;
   pool : Store.Buffer_pool.t;
   (* The WAL holds encoded frames (Wal_codec), not structured records: the
      storage nemesis tears, rots and drops bytes, and recovery must prove
@@ -133,8 +137,11 @@ let flip_last_byte s =
     Bytes.unsafe_to_string b
   end
 
+let[@inline] get t item = Int64.to_int (Bytes.get_int64_ne t.values (8 * item))
+let[@inline] set t item v = Bytes.set_int64_ne t.values (8 * item) (Int64.of_int v)
+
 let replay t (records : Wal_codec.record list) =
-  Array.fill t.values 0 t.config.items 0;
+  Bytes.fill t.values 0 (Bytes.length t.values) '\000';
   Testable_tx.reset t.testable_table;
   List.iter
     (fun (r : Wal_codec.record) ->
@@ -143,7 +150,7 @@ let replay t (records : Wal_codec.record list) =
           (* Bounds-guard every write: with verification off a damaged frame
              can decode to garbage, and replay must still not crash. *)
           List.iter
-            (fun (item, v) -> if item >= 0 && item < t.config.items then t.values.(item) <- v)
+            (fun (item, v) -> if item >= 0 && item < t.config.items then set t item v)
             r.writes;
           Testable_tx.record t.testable_table r.tx Testable_tx.Committed
       | Certifier.Abort -> Testable_tx.record t.testable_table r.tx Testable_tx.Aborted);
@@ -204,7 +211,7 @@ let create ?registry engine ~process ~cpus ~disks ~rng config =
       disks;
       rng;
       config;
-      values = Array.make config.items 0;
+      values = Bytes.make (8 * config.items) '\000';
       pool;
       wal;
       lock_table = Lock_table.create ();
@@ -258,9 +265,15 @@ let create ?registry engine ~process ~cpus ~disks ~rng config =
   Sim.Process.on_restart process (fun () -> scan_and_replay t);
   t
 
-let value t item = t.values.(item)
-let values_snapshot t = Array.copy t.values
-let install_snapshot t snapshot = t.values <- Array.copy snapshot
+type snapshot = Bytes.t
+
+let value = get
+let values t = Array.init t.config.items (get t)
+let values_snapshot t = Bytes.copy t.values
+let install_snapshot t snapshot =
+  if Bytes.length snapshot <> Bytes.length t.values then
+    invalid_arg "Db_engine.install_snapshot: item count differs";
+  Bytes.blit snapshot 0 t.values 0 (Bytes.length t.values)
 
 let guard t k = Sim.Process.guard t.process k
 
@@ -269,12 +282,12 @@ let guard t k = Sim.Process.guard t.process k
    that kills the server), and none of it may reach the disk. *)
 let read t ~item ~k =
   if not (Sim.Process.alive t.process) then ()
-  else if Store.Buffer_pool.read t.pool ~page:item then k t.values.(item)
+  else if Store.Buffer_pool.read t.pool ~page:item then k (get t item)
   else
     Sim.Resource.request t.cpus ~duration:t.config.cpu_per_io
       (guard t (fun () ->
            Sim.Resource.request t.disks ~duration:(io_time t)
-             (guard t (fun () -> k t.values.(item)))))
+             (guard t (fun () -> k (get t item)))))
 
 let read_seq t ~items ~k =
   let rec loop = function
@@ -286,7 +299,7 @@ let read_seq t ~items ~k =
 let install_writes t writes =
   List.iter
     (fun (item, v) ->
-      t.values.(item) <- v;
+      set t item v;
       Store.Buffer_pool.write t.pool ~page:item)
     writes
 

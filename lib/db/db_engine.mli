@@ -116,10 +116,20 @@ val engine : t -> Sim.Engine.t
 val value : t -> int -> int
 (** Current in-memory value of an item. *)
 
-val values_snapshot : t -> int array
-(** A copy of the whole in-memory state (used by state transfer). *)
+val values : t -> int array
+(** A copy of every item's current value, indexed by item. *)
 
-val install_snapshot : t -> int array -> unit
+type snapshot
+(** A copy of the whole in-memory state, as state transfer ships it: a
+    flat block of 8 bytes per item, so taking and installing one is a
+    memory copy. *)
+
+val values_snapshot : t -> snapshot
+
+val install_snapshot : t -> snapshot -> unit
+(** Overwrite every value with the snapshot's, which must come from an
+    engine with the same number of items.
+    @raise Invalid_argument otherwise. *)
 
 val read : t -> item:int -> k:(int -> unit) -> unit
 (** [read t ~item ~k] performs a timed read: free on a buffer hit,

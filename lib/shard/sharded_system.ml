@@ -284,8 +284,10 @@ and handle_dec_ack t home ~gtx ~shard ~acked =
 
 (* The global acknowledgement: only here is the client told anything, and
    a Committed answer means every participating shard acknowledged its
-   write sub-transaction. *)
+   write sub-transaction. The coordinator leaves the table: a vote or
+   acknowledgement arriving later finds nothing and does nothing. *)
 and finish t home c outcome =
+  Analysis.Int_tbl.remove t.states.(home).ss_coords c.c_tx.Db.Transaction.id;
   book t.states.(home) c.c_tx ~submitted:c.c_submitted ~cross:true
     ~write_parts:(List.sort (fun (a, _) (b, _) -> Int.compare a b) c.c_write_parts)
     outcome;
@@ -416,6 +418,9 @@ let run_for ?jobs ?on_exchange t span =
   end
 
 (* ---- books and registries ---- *)
+
+let open_coordinators t =
+  Array.fold_left (fun n s -> n + Analysis.Int_tbl.length s.ss_coords) 0 t.states
 
 let acked t =
   let all = Array.fold_left (fun acc s -> List.rev_append s.ss_gacks acc) [] t.states in

@@ -135,6 +135,12 @@ val acked : t -> gack list
 (** Every global acknowledgement across all shards, ordered by
     (time, transaction id) — deterministic at any worker count. *)
 
+val open_coordinators : t -> int
+(** Cross-shard coordinators not yet finished, over all shards: those
+    still awaiting votes or write acknowledgements, plus wedged ones. A
+    coordinator is dropped when it answers its client. Call between
+    runs. *)
+
 val write_id : int -> Db.Transaction.id
 (** The (negative) id of the phase-2 write sub-transaction of global
     transaction [gtx]; disjoint from every workload id and every phase-1

@@ -24,10 +24,11 @@ let[@inline] int64 r =
 let split r = create (int64 r)
 let copy = Bytes.copy
 
-(* A float uniform in [0, 1) built from the top 53 bits of an output. *)
-let[@inline] unit_float r =
-  let bits = Int64.shift_right_logical (int64 r) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+let[@inline] bits53 r = Int64.to_int (Int64.shift_right_logical (int64 r) 11)
+
+(* A float uniform in [0, 1) built from the top 53 bits of an output; both
+   conversions are exact below 2^53. *)
+let[@inline] unit_float r = float_of_int (bits53 r) *. 0x1.0p-53
 
 (* Rejection sampling to avoid modulo bias: [raw - v] starts the block of
    [n] values [raw] falls in, and the block is incomplete — its last value

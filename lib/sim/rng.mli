@@ -31,7 +31,14 @@ val int : t -> int -> int
 (** [int r n] is uniform in [\[0, n)]. @raise Invalid_argument if [n <= 0]. *)
 
 val float : t -> float -> float
-(** [float r x] is uniform in [\[0, x)]. *)
+(** [float r x] is uniform in [\[0, x)]: [float_of_int (bits53 r)] scaled
+    by [2^-53 *. x]. *)
+
+val bits53 : t -> int
+(** [bits53 r] is the top 53 bits of the next output, uniform in
+    [\[0, 2^53)]. {!float} is not inlined into other modules, so it hands
+    them a boxed float (2 minor words); a caller that scales [bits53]
+    into a float itself allocates nothing, in any build profile. *)
 
 val uniform : t -> float -> float -> float
 (** [uniform r a b] is uniform in [\[a, b)].

@@ -2,13 +2,20 @@
 
    P(k) is proportional to 1 / (k+1)^s: key 0 is the hottest, and the
    skew grows with s (s = 0 is uniform). Sampling inverts the cumulative
-   distribution with a binary search over a precomputed table — one array
-   lookup path, no hash tables, so the stream is a pure function of the
-   RNG stream and the parameters (no insertion-order leakage), and two
-   samplers built with the same parameters draw identical streams from
-   identical RNGs. *)
+   distribution over a precomputed table — arrays only, no hash tables, so
+   the stream is a pure function of the RNG stream and the parameters (no
+   insertion-order leakage), and two samplers built with the same
+   parameters draw identical streams from identical RNGs.
 
-type t = { items : int; s : float; cum : float array }
+   The inversion starts from a guide table: [guide.(j)] is the first key
+   whose cumulative mass exceeds [j / items], so a draw [u] starts at
+   [guide.(floor (u * items))] and walks to the smallest [k] with
+   [cum.(k) > u] in a step or two, where a binary search takes about 11
+   at 1 250 keys. It walks down as well as up, because the float product
+   [u * items] can round across an edge; either way it stops on exactly
+   the key a binary search returns, since [cum] never decreases. *)
+
+type t = { items : int; s : float; cum : float array; guide : int array }
 
 let create ~items ~s =
   if items <= 0 then invalid_arg "Zipf.create: need at least one item";
@@ -19,14 +26,23 @@ let create ~items ~s =
     total := !total +. (1. /. Float.pow (float_of_int (k + 1)) s);
     cum.(k) <- !total
   done;
-  (* Normalise so the last entry is exactly 1.0: [Rng.float rng 1.0] is
-     in [0, 1), so the search always lands. *)
+  (* Normalise so the last entry is exactly 1.0: every draw is in
+     [0, 1), so the walk always lands. *)
   let norm = !total in
   for k = 0 to items - 1 do
     cum.(k) <- cum.(k) /. norm
   done;
   cum.(items - 1) <- 1.0;
-  { items; s; cum }
+  let guide = Array.make items 0 in
+  let k = ref 0 in
+  for j = 0 to items - 1 do
+    let edge = float_of_int j /. float_of_int items in
+    while cum.(!k) <= edge do
+      incr k
+    done;
+    guide.(j) <- !k
+  done;
+  { items; s; cum; guide }
 
 let items t = t.items
 let s t = t.s
@@ -35,12 +51,21 @@ let probability t k =
   if k < 0 || k >= t.items then invalid_arg "Zipf.probability: key out of range";
   if k = 0 then t.cum.(0) else t.cum.(k) -. t.cum.(k - 1)
 
-let sample t rng =
-  let u = Sim.Rng.float rng 1.0 in
-  (* Smallest k with cum.(k) > u. *)
-  let lo = ref 0 and hi = ref (t.items - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.cum.(mid) > u then hi := mid else lo := mid + 1
+(* Smallest k with cum.(k) > u, for u in [0, 1). Inlined into both
+   callers, so [u] stays an unboxed float. *)
+let[@inline] invert t u =
+  let j = int_of_float (u *. float_of_int t.items) in
+  let k = ref t.guide.(if j < t.items then j else t.items - 1) in
+  while !k > 0 && t.cum.(!k - 1) > u do
+    decr k
   done;
-  !lo
+  while t.cum.(!k) <= u do
+    incr k
+  done;
+  !k
+
+let quantile t u =
+  if not (u >= 0. && u < 1.) then invalid_arg "Zipf.quantile: need 0 <= u < 1";
+  invert t u
+
+let sample t rng = invert t (float_of_int (Sim.Rng.bits53 rng) *. 0x1.0p-53)

@@ -679,12 +679,21 @@ let test_engine_write_io_parallel_and_async () =
 
 let test_engine_snapshot_roundtrip () =
   let s = make_server () in
-  Db.Db_engine.install_writes s.db [ (1, 11); (2, 22) ];
+  Db.Db_engine.install_writes s.db [ (1, 11); (2, 22); (3, min_int); (4, max_int) ];
   let snap = Db.Db_engine.values_snapshot s.db in
+  (* A write after the snapshot stays out of it. *)
+  Db.Db_engine.install_writes s.db [ (1, 12) ];
   let s2 = make_server () in
   Db.Db_engine.install_snapshot s2.db snap;
   check_int "transferred" 11 (Db.Db_engine.value s2.db 1);
-  check_int "transferred" 22 (Db.Db_engine.value s2.db 2)
+  check_int "transferred" 22 (Db.Db_engine.value s2.db 2);
+  check_int "min_int transferred" min_int (Db.Db_engine.value s2.db 3);
+  check_int "max_int transferred" max_int (Db.Db_engine.value s2.db 4);
+  let v = Db.Db_engine.values s2.db in
+  check_int "values has every item" (Db.Db_engine.config s2.db).Db.Db_engine.items (Array.length v);
+  check_bool "values agrees with value" true
+    (Array.for_all Fun.id (Array.mapi (fun i x -> x = Db.Db_engine.value s2.db i) v));
+  check_int "the donor moved on" 12 (Db.Db_engine.value s.db 1)
 
 let () =
   Alcotest.run "db"

@@ -325,16 +325,22 @@ let test_keyed_sorted_keys () =
 
 type int_tbl_op = Replace of int * int | Remove of int | Find of int | Mem of int | Reset
 
-(* Ids from the clusters the simulator keys by: the dense block from 0,
-   negative sharded sub-transaction ids, [1_000_000 + g] convergence probes
-   and [1_000_000_000 + k] kill probes. *)
+(* Ids from the clusters the simulator keys by: the dense block from 0, a
+   shard's ids [i + k * shards] at strides 2, 8 and 32, negative sharded
+   sub-transaction ids (dense and those of shard 3 of 8), [1_000_000 + g]
+   convergence probes and [1_000_000_000 + k] kill probes. *)
 let int_tbl_key =
   QCheck2.Gen.(
     oneof
       [
         int_range 0 300;
+        map (fun k -> 1 + (2 * k)) (int_range 0 300);
+        map (fun k -> 3 + (8 * k)) (int_range 0 300);
+        map (fun k -> 5 + (32 * k)) (int_range 0 300);
         map (fun g -> -((2 * g) + 1)) (int_range 0 100);
         map (fun g -> -((2 * g) + 2)) (int_range 0 100);
+        map (fun k -> -((2 * (3 + (8 * k))) + 1)) (int_range 0 100);
+        map (fun k -> -((2 * (3 + (8 * k))) + 2)) (int_range 0 100);
         map (fun g -> 1_000_000 + g) (int_range 0 20);
         map (fun k -> 1_000_000_000 + k) (int_range 0 20);
       ])
@@ -393,6 +399,40 @@ let test_int_tbl_model =
             Hashtbl.reset m);
           agree ())
         ops)
+
+(* Mean probes per hit over every binding: a bucket of [n] bindings costs
+   [1 + 2 + ... + n] probes to find each of them once. *)
+let probes_per_hit t =
+  let st = Analysis.Int_tbl.stats t in
+  let probes = ref 0 in
+  Array.iteri
+    (fun n buckets -> probes := !probes + (buckets * n * (n + 1) / 2))
+    st.Hashtbl.bucket_histogram;
+  float_of_int !probes /. float_of_int st.Hashtbl.num_bindings
+
+(* The hash spreads a shard's strided ids about as evenly as dense ones:
+   8 000 keys per stride cost at most 3 probes per hit (dense ids cost
+   1.5). The key itself as the hash would cost 8.3 at stride 8 and 16.1
+   at stride 16, a chain walk per lookup in every table keyed by a shard's
+   transactions. *)
+let test_int_tbl_spread () =
+  List.iter
+    (fun (name, key) ->
+      let t = Analysis.Int_tbl.create 16 in
+      for k = 0 to 7_999 do
+        Analysis.Int_tbl.replace t (key k) ()
+      done;
+      let p = probes_per_hit t in
+      check_bool (Printf.sprintf "%s: %.2f probes per hit" name p) true (p <= 3.0))
+    [
+      ("dense", Fun.id);
+      ("stride 2", fun k -> 1 + (2 * k));
+      ("stride 4", fun k -> 3 + (4 * k));
+      ("stride 8", fun k -> 3 + (8 * k));
+      ("stride 16", fun k -> 5 + (16 * k));
+      ("probe ids, 8 shards", fun k -> -((2 * (3 + (8 * k))) + 1));
+      ("write ids, 8 shards", fun k -> -((2 * (3 + (8 * k))) + 2));
+    ]
 
 (* Removing bindings from inside [iter_sorted] skips them, as [Det_tbl]
    does; replicated logs and 2PC recovery rely on this when a visit
@@ -487,6 +527,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_int_tbl_model;
           Alcotest.test_case "iter_sorted under removal" `Quick test_int_tbl_iter_removes;
+          Alcotest.test_case "strided ids spread evenly" `Quick test_int_tbl_spread;
         ] );
       ( "typed tier",
         [

@@ -152,7 +152,110 @@ let test_zipf_invalid () =
   Alcotest.check_raises "no items" (Invalid_argument "Zipf.create: need at least one item")
     (fun () -> ignore (Workload.Zipf.create ~items:0 ~s:1.));
   Alcotest.check_raises "negative skew" (Invalid_argument "Zipf.create: negative exponent")
-    (fun () -> ignore (Workload.Zipf.create ~items:4 ~s:(-1.)))
+    (fun () -> ignore (Workload.Zipf.create ~items:4 ~s:(-1.)));
+  let z = Workload.Zipf.create ~items:4 ~s:1. in
+  List.iter
+    (fun u ->
+      Alcotest.check_raises (Printf.sprintf "quantile %h" u)
+        (Invalid_argument "Zipf.quantile: need 0 <= u < 1") (fun () ->
+          ignore (Workload.Zipf.quantile z u)))
+    [ 1.; -0x1p-53; Float.nan ]
+
+(* The sampler before its guide table, kept as the reference: the
+   cumulative table built with [Zipf.create]'s float operations, and a
+   binary search for the smallest key whose mass exceeds [u]. *)
+let reference_cum ~items ~s =
+  let cum = Array.make items 0. in
+  let total = ref 0. in
+  for k = 0 to items - 1 do
+    total := !total +. (1. /. Float.pow (float_of_int (k + 1)) s);
+    cum.(k) <- !total
+  done;
+  let norm = !total in
+  for k = 0 to items - 1 do
+    cum.(k) <- cum.(k) /. norm
+  done;
+  cum.(items - 1) <- 1.0;
+  cum
+
+let reference_search cum u =
+  let lo = ref 0 and hi = ref (Array.length cum - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cum.(mid) > u then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* The guide table changes how a key is found, never which: every draw
+   the binary search answered is answered the same, at the guide's bucket
+   edges [j / items] and one ulp either side, at every cumulative mass and
+   one ulp either side, at 0 and at the largest draw 1 - 2^-53, and over a
+   random stream through [sample]. *)
+let test_zipf_guide_exact () =
+  List.iter
+    (fun s ->
+      List.iter
+        (fun items ->
+          let z = Workload.Zipf.create ~items ~s and cum = reference_cum ~items ~s in
+          let check u =
+            if u >= 0. && u < 1. then begin
+              let got = Workload.Zipf.quantile z u and want = reference_search cum u in
+              if got <> want then
+                Alcotest.failf "items %d, s %g, u %h: guided %d, searched %d" items s u got want
+            end
+          in
+          let around u =
+            check (Float.pred u);
+            check u;
+            check (Float.succ u)
+          in
+          check 0.;
+          check (1. -. 0x1p-53);
+          for j = 0 to items - 1 do
+            around (float_of_int j /. float_of_int items)
+          done;
+          Array.iter around cum;
+          let r = Sim.Rng.create 11L and r' = Sim.Rng.create 11L in
+          for _ = 1 to 20_000 do
+            let got = Workload.Zipf.sample z r
+            and want = reference_search cum (Sim.Rng.float r' 1.0) in
+            if got <> want then
+              Alcotest.failf "items %d, s %g: sampled %d, searched %d" items s got want
+          done)
+        [ 1; 7; 1_250; 10_000 ])
+    [ 0.; 0.6; 1.1 ]
+
+(* The first 1 000 keys at a fixed seed, recorded before the guide table
+   replaced the binary search: shard-readmostly's per-shard range and
+   skew, shardout's whole key space at its skew, and a small uniform one.
+   A draw allocates nothing, in either build profile. *)
+let test_zipf_pinned_stream () =
+  List.iter
+    (fun (items, s, digest, first) ->
+      let z = Workload.Zipf.create ~items ~s and rng = Sim.Rng.create 2026L in
+      let keys = List.init 1_000 (fun _ -> Workload.Zipf.sample z rng) in
+      let name = Printf.sprintf "Zipf(%g) over %d keys" s items in
+      Alcotest.(check (list int)) (name ^ ", first keys") first (List.filteri (fun i _ -> i < 8) keys);
+      Alcotest.(check string)
+        (name ^ ", 1 000 keys")
+        digest
+        (Digest.to_hex (Digest.string (String.concat "," (List.map string_of_int keys)))))
+    [
+      (1_250, 0.6, "86f396601ed14e78106a6bbc59a5da52", [ 867; 215; 480; 136; 717; 586; 1114; 745 ]);
+      (10_000, 1.1, "9c93f8f74b3d6c9c430a881bf46cdfbf", [ 1203; 17; 123; 8; 513; 236; 4720; 602 ]);
+      (7, 0., "96f854d8efea6e7d55a014c4418e88b1", [ 6; 3; 4; 2; 5; 5; 6; 5 ]);
+    ];
+  let z = Workload.Zipf.create ~items:1_250 ~s:0.6 and rng = Sim.Rng.create 5L in
+  let sum = ref (Workload.Zipf.sample z rng) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1024 do
+    sum := !sum + Workload.Zipf.sample z rng
+  done;
+  let words = Gc.minor_words () -. before in
+  (* As in test_sim's RNG test, the [Gc.minor_words] calls box a float
+     themselves; anything per draw would cost >= 1024 words. *)
+  check_bool (Printf.sprintf "no per-draw allocation (%.0f words)" words) true (words < 100.);
+  check_bool "draws were used" true (!sum >= 0)
 
 (* ---- Generator sharded hooks ---- *)
 
@@ -293,6 +396,36 @@ let test_fault_free_registry_counters () =
   check_int "fast path on shard 1" 2 (value "shard.1.xshard.fast_path");
   check_bool "probes ran on both shards" true
     (value "shard.0.xshard.probe_subs" >= 2 && value "shard.1.xshard.probe_subs" >= 2)
+
+(* A coordinator is dropped once it answers its client, so after a
+   fault-free run with cross traffic has drained none is left open; before
+   the fix every cross-shard transaction stayed in its home shard's table
+   for the whole run. *)
+let test_finished_coordinators_dropped () =
+  let shards = 3 and sps = small_params.Workload.Params.servers in
+  let t =
+    Shard.Sharded_system.create
+      (Shard.Sharded_system.config ~seed:5L ~fd_config:Gcs.Failure_detector.light_config
+         ~trace_enabled:false ~shards ~params:small_params group_safe)
+  in
+  let map = Shard.Sharded_system.map t in
+  let txs = 24 and answered = ref 0 in
+  for i = 0 to txs - 1 do
+    let home = i mod shards in
+    let lo, hi = SM.range map home and plo, _ = SM.range map ((home + 1) mod shards) in
+    let ops = [ Db.Op.Read (lo + (i mod (hi - lo))); Db.Op.Write (lo + ((i + 1) mod (hi - lo)), i) ] in
+    let ops = if i mod 2 = 0 then ops @ [ Db.Op.Write (plo + i, i) ] else ops in
+    let tx = Db.Transaction.make ~id:i ~client:0 ops in
+    Sim.Engine.schedule (Shard.Sharded_system.engine_of t home) ~delay:(st (5_000 * i)) (fun () ->
+        Shard.Sharded_system.submit t ~on_response:(fun _ -> incr answered) ~delegate:(home * sps) tx)
+  done;
+  Shard.Sharded_system.run_for ~jobs:1 t (Sim.Sim_time.span_ms 3_000.);
+  let cross =
+    List.length (List.filter (fun a -> a.Shard.Sharded_system.g_cross) (Shard.Sharded_system.acked t))
+  in
+  check_int "every submission answered" txs !answered;
+  check_int "every cross-shard transaction answered" (txs / 2) cross;
+  check_int "no coordinator left open" 0 (Shard.Sharded_system.open_coordinators t)
 
 (* ---- One group: the sharded checker is the explorer's core ---- *)
 
@@ -508,6 +641,9 @@ let () =
           Alcotest.test_case "hottest-key frequency" `Quick test_zipf_hottest_frequency;
           Alcotest.test_case "Det_tbl-stable counting" `Quick test_zipf_det_tbl_stable;
           Alcotest.test_case "invalid arguments" `Quick test_zipf_invalid;
+          Alcotest.test_case "guide table answers as the binary search" `Quick
+            test_zipf_guide_exact;
+          Alcotest.test_case "pinned stream, no allocation" `Quick test_zipf_pinned_stream;
         ] );
       ( "generator",
         [
@@ -525,6 +661,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fault_free_equivalence;
           Alcotest.test_case "registry counts the 2PC protocol" `Quick
             test_fault_free_registry_counters;
+          Alcotest.test_case "finished coordinators are dropped" `Quick
+            test_finished_coordinators_dropped;
         ] );
       ("one_group", [ QCheck_alcotest.to_alcotest prop_one_group_equivalence ]);
       ( "nemesis",

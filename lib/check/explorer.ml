@@ -73,7 +73,7 @@ let highlight_kinds =
   [
     "submit"; "broadcast"; "respond"; "crash"; "recover"; "amnesia"; "cold_start";
     "state_transfer"; "recovered_local"; "deliver"; "logged"; "partition"; "heal";
-    "drop_window"; "duplicate_next"; "torn_write"; "fsync_lie"; "corrupt_record"; "wal_wipe";
+    "drop_window"; "duplicate_next"; "torn_write"; "fsync_lie"; "corrupt_record";
     "slow_disk"; "disk_full"; "disk_full_abort"; "wal_repair"; "skip_checksum";
   ]
 

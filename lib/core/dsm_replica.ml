@@ -435,24 +435,20 @@ let submit t tx ~on_response =
     let id = tx.Db.Transaction.id in
     let submitted_at = Replica.now t.r in
     Int_tbl.replace t.pending_responses id on_response;
-    let read_items = Db.Transaction.read_set tx in
+    (* Built once: its read set drives the read phase, and the same
+       writeset is broadcast. *)
+    let ws = Db.Transaction.to_writeset tx in
     (* The certification snapshot is taken when the read phase begins:
        every item read afterwards is validated against all writesets that
        commit after this point, which is the conservative direction. *)
     let start = Db.Certifier.current_version t.cert in
-    Db.Db_engine.read_seq (server t).Server.db ~items:read_items
+    Db.Db_engine.read_seq (server t).Server.db ~items:ws.Db.Transaction.read_items
       ~k:
         (Replica.guard t.r (fun () ->
              Replica.observe_phase t.r t.obs.h_read ~name:"read" ~tx:id ~from_:submitted_at
                ~until:(Replica.now t.r);
              if Db.Transaction.is_update tx then begin
-               let cws =
-                 {
-                   Cert_ws.ws = Db.Transaction.to_writeset tx;
-                   start;
-                   delegate = (server t).Server.index;
-                 }
-               in
+               let cws = { Cert_ws.ws; start; delegate = (server t).Server.index } in
                (match t.mode with
                 | Two_safe_mode | Very_safe_mode ->
                   Int_tbl.replace t.waiting_2safe id { acks = Net.Node_id.Set.empty };

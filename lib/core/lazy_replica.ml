@@ -60,7 +60,7 @@ let apply_remote t ws ~started_at ~committed_at =
     Db.Db_engine.install_writes db writes;
     Db.Testable_tx.record t.r.Replica.view tx Db.Testable_tx.Committed;
     Db.Db_engine.log_commit_quiet db ~tx ~decision:Db.Certifier.Commit ~writes;
-    Db.Db_engine.write_io db ~count:(List.length writes) ~factor:(Db.Db_engine.async_factor db)
+    Db.Db_engine.write_io db ~count:(List.length writes) ~factor:Db.Db_engine.async_factor
       ~k:(fun () -> ());
     Obs.Registry.inc t.c_remote_applies;
     Replica.tr_tx t.r "apply" tx
@@ -91,7 +91,7 @@ let finish_commit t tx ~started_at ~on_response =
              Replica.observe_phase t.r t.h_flush ~name:"flush" ~tx:id ~from_:commit_at
                ~until:(Replica.now t.r);
              Replica.tr_tx t.r "logged" id));
-    Db.Db_engine.write_io db ~count ~factor:(Db.Db_engine.async_factor db) ~k:(fun () -> ());
+    Db.Db_engine.write_io db ~count ~factor:Db.Db_engine.async_factor ~k:(fun () -> ());
     release ();
     if writes <> [] then propagate t ws ~started_at
   | One_safe_mode ->

@@ -34,6 +34,7 @@ type ack = {
   tx : Db.Transaction.id;
   outcome : Db.Testable_tx.outcome;
   at : Sim.Sim_time.t;
+  submitted_at : Sim.Sim_time.t;
   update : bool;
 }
 
@@ -44,23 +45,22 @@ type submission = {
   sub_delegate_serving : bool;
 }
 
-
+(* What the books hold per transaction id: its first submission, and
+   whether a client has been answered for it. *)
+type entry = { first : submission; mutable answered : bool }
 
 type t = {
   engine : Sim.Engine.t;
   network : Net.Network.t;
   params : Workload.Params.t;
   trace : Sim.Trace.t;
-  metrics : Workload.Metrics.t;
   technique : technique;
   servers : Server.t array;
   replicas : replica array;
   cores : Replica.t array;  (* each replica's per-server half *)
-  mutable submitted : int;
   mutable acked_rev : ack list;
-  acked_ids : unit Analysis.Int_tbl.t;
   mutable subs_rev : submission list;
-  sub_ids : submission Analysis.Int_tbl.t; (* first submission per id *)
+  by_id : entry Analysis.Int_tbl.t;
   crashes : Sim.Sim_time.t list ref array;
   recoveries : Sim.Sim_time.t list ref array;
   mutable max_simultaneously_down : int;
@@ -78,7 +78,6 @@ let engine t = t.engine
 let network t = t.network
 let params t = t.params
 let trace t = t.trace
-let metrics t = t.metrics
 let technique t = t.technique
 let level t = technique_level t.technique
 let n_servers t = Array.length t.servers
@@ -90,37 +89,41 @@ let serving t i = Replica.serving t.cores.(i)
 let alive t i = Server.alive t.servers.(i)
 
 let submit t ?on_response ~delegate tx =
-  t.submitted <- t.submitted + 1;
   Obs.Registry.inc t.c_submitted;
   let submitted_at = Sim.Engine.now t.engine in
   (* First submission of each id wins: a client retry of a decided tx must
      not resurrect it as "undecided" in the liveness oracle's books. *)
-  if not (Analysis.Int_tbl.mem t.sub_ids tx.Db.Transaction.id) then begin
-    let sub =
-      {
-        sub_tx = tx.Db.Transaction.id;
-        sub_at = submitted_at;
-        sub_delegate = delegate;
-        sub_delegate_serving = serving t delegate;
-      }
-    in
-    Analysis.Int_tbl.replace t.sub_ids tx.Db.Transaction.id sub;
-    t.subs_rev <- sub :: t.subs_rev
-  end;
+  let entry =
+    match Analysis.Int_tbl.find_opt t.by_id tx.Db.Transaction.id with
+    | Some entry -> entry
+    | None ->
+      let first =
+        {
+          sub_tx = tx.Db.Transaction.id;
+          sub_at = submitted_at;
+          sub_delegate = delegate;
+          sub_delegate_serving = serving t delegate;
+        }
+      in
+      let entry = { first; answered = false } in
+      Analysis.Int_tbl.replace t.by_id tx.Db.Transaction.id entry;
+      t.subs_rev <- first :: t.subs_rev;
+      entry
+  in
   let respond outcome =
     (* Retried transactions answer at most once into the books. *)
-    if not (Analysis.Int_tbl.mem t.acked_ids tx.Db.Transaction.id) then begin
+    if not entry.answered then begin
       let acked_at = Sim.Engine.now t.engine in
-      Analysis.Int_tbl.replace t.acked_ids tx.Db.Transaction.id ();
+      entry.answered <- true;
       t.acked_rev <-
         {
           tx = tx.Db.Transaction.id;
           outcome;
           at = acked_at;
+          submitted_at;
           update = Db.Transaction.is_update tx;
         }
         :: t.acked_rev;
-      Workload.Metrics.record t.metrics ~submitted:submitted_at outcome;
       let latency = Sim.Sim_time.diff acked_at submitted_at in
       if Obs.Tracer.enabled t.obs_tracer then
         Obs.Tracer.complete t.obs_tracer ~name:"txn"
@@ -203,7 +206,6 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
   in
   let network = Net.Network.create engine net_config in
   let trace = Sim.Trace.create ~enabled:trace_enabled engine in
-  let metrics = Workload.Metrics.create engine in
   let n = params.Workload.Params.servers in
   (* One registry and one tracer per system: all replicas (and their
      database engines, hence creation before the servers) share them, so
@@ -238,7 +240,6 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
     network;
     params;
     trace;
-    metrics;
     technique;
     servers;
     replicas;
@@ -249,11 +250,9 @@ let create ?(seed = 1L) ?(params = Workload.Params.table4) ?fd_config ?apply_wri
           | Lazy_r r -> Lazy_replica.replica r
           | Tpc_r r -> Twopc_replica.replica r)
         replicas;
-    submitted = 0;
     acked_rev = [];
-    acked_ids = Analysis.Int_tbl.create 1024;
     subs_rev = [];
-    sub_ids = Analysis.Int_tbl.create 1024;
+    by_id = Analysis.Int_tbl.create 1024;
     crashes = Array.init n (fun _ -> ref []);
     recoveries = Array.init n (fun _ -> ref []);
     max_simultaneously_down = 0;
@@ -305,11 +304,15 @@ let recover t i =
     Server.restart t.servers.(i)
   end
 
-let submitted t = t.submitted
+let submitted t = Obs.Registry.counter_value t.obs_registry "txn.submitted"
 let acked t = List.rev t.acked_rev
 let submissions t = List.rev t.subs_rev
-let submission_of t id = Analysis.Int_tbl.find_opt t.sub_ids id
-let acked_id t id = Analysis.Int_tbl.mem t.acked_ids id
+
+let submission_of t id =
+  match Analysis.Int_tbl.find_opt t.by_id id with Some e -> Some e.first | None -> None
+
+let acked_id t id =
+  match Analysis.Int_tbl.find_opt t.by_id id with Some e -> e.answered | None -> false
 
 let has_ordering_layer t =
   match t.technique with Dsm _ -> true | Lazy _ | Two_pc -> false
@@ -339,7 +342,6 @@ let group_failed t =
   t.max_simultaneously_down >= Gcs.View.quorum (Array.length t.servers)
 
 let storage_fault_kind = function
-  | Db.Db_engine.Wipe_wal -> "wal_wipe"
   | Db.Db_engine.Wipe_wal_at_crash -> "amnesia"
   | Db.Db_engine.Torn_write -> "torn_write"
   | Db.Db_engine.Fsync_lie -> "fsync_lie"

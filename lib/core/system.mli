@@ -2,8 +2,9 @@
 
     One [System.t] is one simulated deployment running one replication
     technique. It owns the virtual clock, offers submission and fault
-    injection, and records everything the safety checker and the metrics
-    need. Deterministic for a given seed. *)
+    injection, and keeps the one book of client answers that the safety
+    and liveness oracles and the harness's measurements all read.
+    Deterministic for a given seed. *)
 
 type technique =
   | Dsm of Dsm_replica.mode  (** the database state machine technique. *)
@@ -77,7 +78,6 @@ val engine : t -> Sim.Engine.t
 val network : t -> Net.Network.t
 val params : t -> Workload.Params.t
 val trace : t -> Sim.Trace.t
-val metrics : t -> Workload.Metrics.t
 val technique : t -> technique
 val level : t -> Safety.level
 val n_servers : t -> int
@@ -106,11 +106,11 @@ val attach_obs_samplers : ?every:Sim.Sim_time.span -> t -> unit
 val submit :
   t -> ?on_response:(Db.Testable_tx.outcome -> unit) -> delegate:int -> Db.Transaction.t -> unit
 (** Submit with server [delegate]. The response (if any arrives) is
-    recorded in the metrics and in the acknowledgement table; the optional
-    callback fires too. Submissions to a dead or recovering delegate are
-    dropped silently (the client would time out). Metrics and the
-    acknowledgement table count each transaction id once, so client
-    retries do not double-count. *)
+    booked in {!acked} and in the [txn.*] metrics of {!obs_registry}; the
+    optional callback fires too. Submissions to a dead or recovering
+    delegate are dropped silently (the client would time out). The books
+    hold each transaction id once, so client retries do not
+    double-count. *)
 
 val server_id : t -> int -> Net.Node_id.t
 (** The network identity of server [i] — servers also answer
@@ -131,12 +131,16 @@ val alive : t -> int -> bool
 val serving : t -> int -> bool
 
 val submitted : t -> int
-(** Transactions submitted so far. *)
+(** Transactions submitted so far, retries included: the registry's
+    [txn.submitted] counter. *)
 
 type ack = {
   tx : Db.Transaction.id;
   outcome : Db.Testable_tx.outcome;
   at : Sim.Sim_time.t;  (** when the client heard the outcome. *)
+  submitted_at : Sim.Sim_time.t;
+      (** when the client made the submission this answer is for; under
+          client retries, not necessarily the id's first submission. *)
   update : bool;
       (** whether the transaction wrote anything. A read-only commit
           leaves no durable effect, so there is nothing of it to lose. *)
@@ -144,7 +148,8 @@ type ack = {
 
 val acked : t -> ack list
 (** Every response ever given to a client (the god's-eye record the safety
-    checker starts from), in response order. *)
+    checker starts from, and the one the harness measures response times
+    and throughput from), in response order, one per transaction id. *)
 
 type submission = {
   sub_tx : Db.Transaction.id;
@@ -200,9 +205,9 @@ val twopc_replica : t -> int -> Twopc_replica.t option
 val inject_storage_fault : t -> int -> Db.Db_engine.fault -> unit
 (** Arm (or perform) a storage fault on server [i]'s WAL — the single
     fault surface behind the storage nemesis ({!Check.Schedule} events
-    [Torn_write], [Fsync_lie], [Corrupt_record]) and the legacy wipe
-    hooks. Traced as ["torn_write"], ["fsync_lie"], ["corrupt_record"],
-    ["wal_wipe"] or ["amnesia"]. See {!Db.Db_engine.fault}. *)
+    [Torn_write], [Fsync_lie], [Corrupt_record]) and the amnesiac-wipe
+    hook. Traced as ["torn_write"], ["fsync_lie"], ["corrupt_record"] or
+    ["amnesia"]. See {!Db.Db_engine.fault}. *)
 
 val break_amnesiac : t -> int -> unit
 (** Deliberately break server [i]: from now on, every crash also wipes its

@@ -165,7 +165,7 @@ let apply_decision t tx_id commit writes =
     record_outcome t tx_id Db.Testable_tx.Committed;
     Db.Db_engine.log_commit_quiet (db t) ~tx:tx_id ~decision:Db.Certifier.Commit ~writes;
     Db.Db_engine.write_io (db t) ~count:(List.length writes)
-      ~factor:(Db.Db_engine.async_factor (db t))
+      ~factor:Db.Db_engine.async_factor
       ~k:(fun () -> ())
   end
   else begin

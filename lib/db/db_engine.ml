@@ -3,21 +3,11 @@ type config = {
   io_time_min : Sim.Sim_time.span;
   io_time_max : Sim.Sim_time.span;
   cpu_per_io : Sim.Sim_time.span;
-  buffer : Store.Buffer_pool.model;
+  buffer_hit_ratio : float;
   group_commit : bool;
-  async_write_factor : float;
 }
 
-let table4_config =
-  {
-    items = 10_000;
-    io_time_min = Sim.Sim_time.span_ms 4.;
-    io_time_max = Sim.Sim_time.span_ms 12.;
-    cpu_per_io = Sim.Sim_time.span_ms 0.4;
-    buffer = Store.Buffer_pool.Probabilistic 0.2;
-    group_commit = true;
-    async_write_factor = 0.5;
-  }
+let async_factor = 0.5
 
 type wal_record = {
   w_tx : Transaction.id;
@@ -25,7 +15,7 @@ type wal_record = {
   w_writes : (int * int) list;
 }
 
-type fault = Wipe_wal | Wipe_wal_at_crash | Torn_write | Fsync_lie | Corrupt_record
+type fault = Wipe_wal_at_crash | Torn_write | Fsync_lie | Corrupt_record
 
 type repair_report = { scanned : int; replayed : int; repairs : Wal_codec.repair list }
 
@@ -192,7 +182,7 @@ let scan_and_replay t =
   t.last_repair <- Some { scanned = List.length frames; replayed = List.length records; repairs }
 
 let create ?registry engine ~process ~cpus ~disks ~rng config =
-  let pool = Store.Buffer_pool.create (Sim.Rng.split rng) config.buffer in
+  let pool = Store.Buffer_pool.create (Sim.Rng.split rng) config.buffer_hit_ratio in
   let wal_rng = Sim.Rng.split rng in
   let wal =
     Store.Stable_storage.create engine
@@ -255,7 +245,6 @@ let create ?registry engine ~process ~cpus ~disks ~rng config =
            a firing that actually damaged a record. *)
         if Store.Stable_storage.tamper_last wal tear then t.torn_fired <- t.torn_fired + 1
       end;
-      Store.Buffer_pool.invalidate pool;
       Testable_tx.reset t.testable_table;
       t.lock_table <- Lock_table.create ());
   (* Self-healing restart: scan (and physically repair) the local WAL
@@ -282,7 +271,7 @@ let guard t k = Sim.Process.guard t.process k
    that kills the server), and none of it may reach the disk. *)
 let read t ~item ~k =
   if not (Sim.Process.alive t.process) then ()
-  else if Store.Buffer_pool.read t.pool ~page:item then k (get t item)
+  else if Store.Buffer_pool.read t.pool then k (get t item)
   else
     Sim.Resource.request t.cpus ~duration:t.config.cpu_per_io
       (guard t (fun () ->
@@ -296,12 +285,7 @@ let read_seq t ~items ~k =
   in
   loop items
 
-let install_writes t writes =
-  List.iter
-    (fun (item, v) ->
-      set t item v;
-      Store.Buffer_pool.write t.pool ~page:item)
-    writes
+let install_writes t writes = List.iter (fun (item, v) -> set t item v) writes
 
 let write_io t ~count ~factor ~k =
   if not (Sim.Process.alive t.process) then ()
@@ -318,8 +302,6 @@ let write_io t ~count ~factor ~k =
              Sim.Resource.request t.disks ~duration:(scaled_io_time t factor) (guard t one_done)))
     done
   end
-
-let async_factor t = t.config.async_write_factor
 
 let encode_record t ~tx ~decision ~writes =
   let seq = t.next_seq in
@@ -338,7 +320,6 @@ let locks t = t.lock_table
 let testable t = t.testable_table
 
 let inject t = function
-  | Wipe_wal -> wipe_wal_now t
   | Wipe_wal_at_crash -> t.amnesia <- true
   | Torn_write ->
       t.torn_armed <- t.torn_armed + 1;
@@ -406,5 +387,3 @@ let recover t ~k =
     (guard t (fun () ->
          scan_and_replay t;
          k ()))
-
-let buffer_hit_ratio t = Store.Buffer_pool.hit_ratio t.pool

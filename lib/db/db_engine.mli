@@ -22,18 +22,9 @@ type config = {
   io_time_min : Sim.Sim_time.span;  (** fastest disk operation. *)
   io_time_max : Sim.Sim_time.span;  (** slowest disk operation. *)
   cpu_per_io : Sim.Sim_time.span;  (** CPU charged per physical I/O. *)
-  buffer : Store.Buffer_pool.model;
+  buffer_hit_ratio : float;  (** probability that a read needs no disk. *)
   group_commit : bool;  (** batch log flushes. *)
-  async_write_factor : float;
-      (** service-time multiplier for background (write-back) disk writes;
-          below 1 models coalescing and elevator scheduling of
-          asynchronous writes (paper §5.1). *)
 }
-
-val table4_config : config
-(** The paper's simulator parameters: 10 000 items, 4–12 ms I/O, 0.4 ms
-    CPU per I/O, 20 % buffer hit ratio, group commit on, async factor
-    0.5. *)
 
 type wal_record = {
   w_tx : Transaction.id;
@@ -43,8 +34,6 @@ type wal_record = {
 
 (** The storage-fault vocabulary (one surface for every disk betrayal):
     {ul
-    {- [Wipe_wal]: instantly discard every durable record (no real disk
-       does this; kept as the legacy oracle-self-test hook).}
     {- [Wipe_wal_at_crash]: arm an amnesiac wipe performed by the next
        crash — {!Groupsafe.System.break_amnesiac} in fault-injection
        terms.}
@@ -55,7 +44,7 @@ type wal_record = {
        drops them.}
     {- [Corrupt_record]: flip a byte of the newest durable record right
        now (bit-rot).}} *)
-type fault = Wipe_wal | Wipe_wal_at_crash | Torn_write | Fsync_lie | Corrupt_record
+type fault = Wipe_wal_at_crash | Torn_write | Fsync_lie | Corrupt_record
 
 type repair_report = {
   scanned : int;  (** durable frames examined. *)
@@ -70,7 +59,7 @@ type repair_report = {
     actually caught what was injected (an unhardened WAL comes up
     short). *)
 type fault_stats = {
-  wal_wipes : int;
+  wal_wipes : int;  (** amnesiac wipes performed by crashes. *)
   amnesia_armed : bool;
   torn_armed : int;
   torn_fired : int;  (** arms whose crash actually damaged a record. *)
@@ -102,8 +91,8 @@ val create :
   config ->
   t
 (** [create e ~process ~cpus ~disks ~rng config] builds the component.
-    Crash behaviour (losing buffered state, pending log writes, lock table
-    and in-memory values) is wired to [process]; a restart hook scans and
+    Crash behaviour (losing pending log writes, the lock table and the
+    in-memory values) is wired to [process]; a restart hook scans and
     self-heals the WAL before any replication-layer recovery runs. The
     resources are shared with the rest of the server and are not reset
     here. [registry] receives the [wal.torn_repaired],
@@ -139,20 +128,23 @@ val read_seq : t -> items:int list -> k:(unit -> unit) -> unit
 (** Reads the items one after another (program order), then [k]. *)
 
 val install_writes : t -> (int * int) list -> unit
-(** Instantly installs values in memory and the buffer. The disk cost is
-    charged separately via {!write_io} or {!log_commit}. *)
+(** Instantly installs values in memory. The disk cost is charged
+    separately via {!write_io} or {!log_commit}. *)
 
 val write_io : t -> count:int -> factor:float -> k:(unit -> unit) -> unit
 (** [write_io t ~count ~factor ~k] charges CPU + disk for [count] page
     writes, issued concurrently (they queue on the server's disks). The
     disk service time of each write is scaled by [factor]: use [1.0] for
     synchronous in-path writes and a value below one for background
-    write-back that can be coalesced and elevator-scheduled (the config's
-    [async_write_factor] is the conventional choice). [k] runs when all
+    write-back that can be coalesced and elevator-scheduled
+    ({!async_factor} is the conventional choice). [k] runs when all
     complete. *)
 
-val async_factor : t -> float
-(** The configured background-write factor. *)
+val async_factor : float
+(** The service-time factor of background write-back, 0.5: lazy
+    propagation and 2PC write their pages back off the critical path,
+    where the disk can coalesce them and schedule them by elevator
+    (paper §5.1). Not a Table 4 figure (DESIGN.md decision 7). *)
 
 val log_commit :
   t -> tx:Transaction.id -> decision:Certifier.decision -> writes:(int * int) list ->
@@ -177,8 +169,8 @@ val wal_records : t -> wal_record list
     recovery scan's job (see {!recover}). *)
 
 val inject : t -> fault -> unit
-(** Arm (or, for [Wipe_wal] and [Corrupt_record], immediately perform) a
-    storage fault. See {!fault}. *)
+(** Arm (or, for [Corrupt_record], immediately perform) a storage fault.
+    See {!fault}. *)
 
 val break_skip_checksum : t -> unit
 (** Oracle mutation: disable checksum verification on recovery, modelling
@@ -219,5 +211,3 @@ val recover : t -> k:(unit -> unit) -> unit
     The restart hook runs the same scan without the disk read. A second
     scan of a repaired log reports no repairs, so recovery layers read
     {!last_repair} and {!testable} instead of scanning again. *)
-
-val buffer_hit_ratio : t -> float

@@ -112,18 +112,12 @@ module Make (V : VALUE) = struct
 
   let id m = m.self
   let status m = m.status
-  let mode_is_durable m = match m.mode with Durable _ -> true | Volatile -> false
   let on_decide m f = m.deliver_hook <- f
   let decided_prefix m = m.next_deliver
   let detector m = m.fd
   let leader_hint m = match Failure_detector.trusted m.fd with [] -> None | l :: _ -> Some l
   let is_leading m = match m.leadership with Leading _ -> true | Follower | Preparing _ -> false
   let break_no_accept_retransmit m = m.accept_retransmit_broken <- true
-
-  let chosen_at m slot =
-    match Int_tbl.find_opt m.chosen slot with
-    | None -> None
-    | Some e -> Some (entry_values e)
 
   let persist m record k =
     match m.storage with
@@ -206,7 +200,7 @@ module Make (V : VALUE) = struct
       None m.group
 
   let pop_batch m =
-    let k = min (Queue.length m.pending) m.tuning.Bcast_tuning.batch in
+    let k = Int.min (Queue.length m.pending) m.tuning.Bcast_tuning.batch in
     let rec take n acc = if n = 0 then List.rev acc else take (n - 1) (Queue.pop m.pending :: acc) in
     take k []
 

@@ -84,7 +84,6 @@ module Make (V : VALUE) : sig
 
   val id : t -> Net.Node_id.t
   val status : t -> status
-  val mode_is_durable : t -> bool
 
   val on_decide : t -> (slot:int -> V.t list -> unit) -> unit
   (** [on_decide m f] registers the delivery upcall: [f ~slot vs] fires for
@@ -109,10 +108,6 @@ module Make (V : VALUE) : sig
 
   val decided_prefix : t -> int
   (** Number of contiguously decided slots this member has delivered. *)
-
-  val chosen_at : t -> int -> V.t list option
-  (** [chosen_at m s] is [Some vs] when this member knows slot [s] decided
-      ([vs = []] for a no-op), [None] otherwise. *)
 
   val detector : t -> Failure_detector.t
   (** The endpoint's failure detector, built from [fd_config]: leadership

@@ -16,6 +16,44 @@ type load_point = {
   trace_events : Obs.Tracer.event list;
 }
 
+(* The measured window, the one place the warm-up rule lives. Samples go
+   in shard order and, within a shard, in answer order: the response
+   series' mean is an order-sensitive running sum. *)
+let point_of_books ?(trace_events = []) technique ~load_tps ~warmup_at ~until ~registry books =
+  let responses = Sim.Stats.series "response_ms" in
+  let window_s = Sim.Sim_time.span_to_ms (Sim.Sim_time.diff until warmup_at) /. 1000. in
+  let commits = ref 0 and aborts = ref 0 and throughput = ref 0. in
+  List.iter
+    (fun book ->
+      let shard_commits = ref 0 in
+      List.iter
+        (fun (a : System.ack) ->
+          if Sim.Sim_time.(a.at >= warmup_at) then begin
+            if Sim.Sim_time.(a.submitted_at >= warmup_at) then
+              Sim.Stats.add responses
+                (Sim.Sim_time.span_to_ms (Sim.Sim_time.diff a.at a.submitted_at));
+            match a.outcome with
+            | Db.Testable_tx.Committed -> incr shard_commits
+            | Db.Testable_tx.Aborted -> incr aborts
+          end)
+        book;
+      commits := !commits + !shard_commits;
+      throughput :=
+        !throughput +. if window_s <= 0. then nan else float_of_int !shard_commits /. window_s)
+    books;
+  let decided = !commits + !aborts in
+  {
+    technique;
+    load_tps;
+    mean_ms = Sim.Stats.mean responses;
+    p95_ms = Sim.Stats.percentile responses 95.;
+    abort_rate = (if decided = 0 then nan else float_of_int !aborts /. float_of_int decided);
+    throughput_tps = !throughput;
+    completed = Sim.Stats.count responses;
+    registry;
+    trace_events;
+  }
+
 let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 5.)
     ?(measure_s = 60.) ?apply_write_factor ?tuning ?(obs_trace = false) technique ~load_tps =
   let sys =
@@ -37,22 +75,13 @@ let run_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s = 
     Workload.Arrival.open_poisson engine ~rng:(Sim.Rng.split rng) ~rate_tps:load_tps submit
   in
   let warmup_at = Sim.Sim_time.add (Sim.Engine.now engine) (sec warmup_s) in
-  Workload.Metrics.set_warmup (System.metrics sys) warmup_at;
   System.run_for sys (sec (warmup_s +. measure_s));
   Workload.Arrival.stop arrival;
   System.run_for sys (sec 3.) (* drain in-flight transactions *);
-  let m = System.metrics sys in
-  {
-    technique;
-    load_tps;
-    mean_ms = Workload.Metrics.mean_response_ms m;
-    p95_ms = Workload.Metrics.p95_response_ms m;
-    abort_rate = Workload.Metrics.abort_rate m;
-    throughput_tps = Workload.Metrics.throughput_tps m ~since:warmup_at;
-    completed = Sim.Stats.count (Workload.Metrics.responses m);
-    registry = System.obs_registry sys;
-    trace_events = Obs.Tracer.events (System.obs_tracer sys);
-  }
+  point_of_books technique ~load_tps ~warmup_at ~until:(System.now sys)
+    ~registry:(System.obs_registry sys)
+    ~trace_events:(Obs.Tracer.events (System.obs_tracer sys))
+    [ System.acked sys ]
 
 (* Closed-loop variant of a load point: the paper's Table 4 client model —
    4 clients per server, each thinking (exponential) then submitting and
@@ -80,14 +109,15 @@ let run_closed_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(warmup_s 
       ~think_time:(sec think_time_s) submit
   in
   let warmup_at = Sim.Sim_time.add (Sim.Engine.now engine) (sec warmup_s) in
-  Workload.Metrics.set_warmup (System.metrics sys) warmup_at;
   System.run_for sys (sec (warmup_s +. measure_s));
   Workload.Arrival.stop arrival;
   System.run_for sys (sec 3.);
-  let m = System.metrics sys in
-  ( Workload.Metrics.throughput_tps m ~since:warmup_at,
-    Workload.Metrics.mean_response_ms m,
-    Workload.Metrics.abort_rate m )
+  let p =
+    (* a closed loop offers no fixed rate *)
+    point_of_books technique ~load_tps:nan ~warmup_at ~until:(System.now sys)
+      ~registry:(System.obs_registry sys) [ System.acked sys ]
+  in
+  (p.throughput_tps, p.mean_ms, p.abort_rate)
 
 (* ---- Sharded load points (docs/SHARDING.md) ---- *)
 
@@ -152,29 +182,24 @@ let run_sharded_load_point ?(seed = 1L) ?(params = Workload.Params.table4) ?(war
           submit)
   in
   let warmup_at = Sim.Sim_time.add (Shard.Sharded_system.now t) (sec warmup_s) in
-  Shard.Sharded_system.set_warmup t warmup_at;
   Shard.Sharded_system.run_for ?jobs t (sec (warmup_s +. measure_s));
   List.iter Workload.Arrival.stop arrivals;
   Shard.Sharded_system.run_for ?jobs t (sec 3.) (* drain in-flight transactions *);
-  let metrics = List.init shards (Shard.Sharded_system.metrics t) in
-  let responses = Sim.Stats.merge "response_ms" (List.map Workload.Metrics.responses metrics) in
-  let commits = List.fold_left (fun a m -> a + Workload.Metrics.commits m) 0 metrics in
-  let aborts = List.fold_left (fun a m -> a + Workload.Metrics.aborts m) 0 metrics in
-  let throughput =
-    List.fold_left (fun a m -> a +. Workload.Metrics.throughput_tps m ~since:warmup_at) 0. metrics
+  let book i =
+    List.map
+      (fun (g : Shard.Sharded_system.gack) ->
+        {
+          System.tx = g.g_tx;
+          outcome = g.g_outcome;
+          at = g.g_at;
+          submitted_at = g.g_submitted;
+          update = g.g_update;
+        })
+      (Shard.Sharded_system.acked_on t i)
   in
-  {
-    technique;
-    load_tps;
-    mean_ms = Sim.Stats.mean responses;
-    p95_ms = Sim.Stats.percentile responses 95.;
-    abort_rate =
-      (if commits + aborts = 0 then nan else float_of_int aborts /. float_of_int (commits + aborts));
-    throughput_tps = throughput;
-    completed = Sim.Stats.count responses;
-    registry = Shard.Sharded_system.merged_registry t;
-    trace_events = [];
-  }
+  point_of_books technique ~load_tps ~warmup_at ~until:(Shard.Sharded_system.now t)
+    ~registry:(Shard.Sharded_system.merged_registry t)
+    (List.init shards book)
 
 (* ---- Figure 9 ---- *)
 

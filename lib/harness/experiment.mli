@@ -29,6 +29,26 @@ type load_point = {
       (** recorded spans; empty unless the run traced ([obs_trace]). *)
 }
 
+val point_of_books :
+  ?trace_events:Obs.Tracer.event list ->
+  Groupsafe.System.technique ->
+  load_tps:float ->
+  warmup_at:Sim.Sim_time.t ->
+  until:Sim.Sim_time.t ->
+  registry:Obs.Registry.t ->
+  Groupsafe.System.ack list list ->
+  load_point
+(** The measured window of a run, from its books: one list of answers per
+    shard, in shard order, each in answer order ({!Groupsafe.System.acked}
+    or a shard's {!Shard.Sharded_system.acked_on}). An answer counts if it
+    arrives at or after [warmup_at]; its response time counts only if its
+    transaction was also submitted at or after [warmup_at]. Throughput is
+    the sum over shards of committed answers per simulated second from
+    [warmup_at] to [until] (the end of the drain); the abort rate is
+    aborts over decided answers, [nan] when nothing was decided.
+    [trace_events] (default none) and [registry] are copied into the
+    point. Every load-point runner below ends here. *)
+
 val run_load_point :
   ?seed:int64 ->
   ?params:Workload.Params.t ->

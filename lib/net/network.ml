@@ -70,7 +70,7 @@ let group_of groups index =
 
 let link_key src dst =
   let a = Node_id.index src and b = Node_id.index dst in
-  (min a b, max a b)
+  (Int.min a b, Int.max a b)
 
 (* Every delivery asks this. With no partition installed and no link
    blocked (the common case) it answers without a lookup, and without

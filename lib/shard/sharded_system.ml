@@ -24,6 +24,7 @@ type gack = {
   g_tx : Db.Transaction.id;
   g_outcome : Db.Testable_tx.outcome;
   g_at : St.t;
+  g_submitted : St.t;
   g_update : bool;
   g_cross : bool;
   g_write_parts : (int * Db.Transaction.id) list;
@@ -88,7 +89,6 @@ let make_x reg =
 
 type shard_state = {
   ss_sys : System.t;
-  ss_metrics : Workload.Metrics.t;
   ss_xreg : Obs.Registry.t;
   ss_x : xcounters;
   ss_coords : coord Analysis.Int_tbl.t;
@@ -121,7 +121,6 @@ let create cfg =
         let xreg = Obs.Registry.create () in
         {
           ss_sys = sys;
-          ss_metrics = Workload.Metrics.create (System.engine sys);
           ss_xreg = xreg;
           ss_x = make_x xreg;
           ss_coords = Analysis.Int_tbl.create 64;
@@ -138,10 +137,7 @@ let n_servers t = shards t * servers_per_shard t
 let map t = t.map
 let sys t i = t.states.(i).ss_sys
 let engine_of t i = System.engine t.states.(i).ss_sys
-let metrics t i = t.states.(i).ss_metrics
 let now t = Sim.Engine.now (engine_of t 0)
-
-let set_warmup t at = Array.iter (fun s -> Workload.Metrics.set_warmup s.ss_metrics at) t.states
 
 let block_link t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
 let clear_blocked t = Hashtbl.reset t.blocked
@@ -165,19 +161,19 @@ let post t src ~dst payload =
 let committed o = Db.Testable_tx.outcome_equal o Db.Testable_tx.Committed
 
 (* Book one client answer on the shard that gave it: the global ack the
-   atomicity audit reads, and the shard's workload metrics. *)
+   atomicity audit and the harness's measurements read. *)
 let book s tx ~submitted ~cross ~write_parts outcome =
   s.ss_gacks <-
     {
       g_tx = tx.Db.Transaction.id;
       g_outcome = outcome;
       g_at = Sim.Engine.now (System.engine s.ss_sys);
+      g_submitted = submitted;
       g_update = Db.Transaction.is_update tx;
       g_cross = cross;
       g_write_parts = write_parts;
     }
-    :: s.ss_gacks;
-  Workload.Metrics.record s.ss_metrics ~submitted outcome
+    :: s.ss_gacks
 
 let rec deliver t dst payload =
   match payload with
@@ -421,6 +417,8 @@ let run_for ?jobs ?on_exchange t span =
 
 let open_coordinators t =
   Array.fold_left (fun n s -> n + Analysis.Int_tbl.length s.ss_coords) 0 t.states
+
+let acked_on t i = List.rev t.states.(i).ss_gacks
 
 let acked t =
   let all = Array.fold_left (fun acc s -> List.rev_append s.ss_gacks acc) [] t.states in

@@ -78,14 +78,6 @@ val submit :
     @raise Invalid_argument on a negative transaction id (reserved for
     sub-transactions) or an out-of-range delegate. *)
 
-val metrics : t -> int -> Workload.Metrics.t
-(** Shard [i]'s client-observed metrics: every {e global} transaction
-    acknowledged with shard [i] as its home shard (fast path and
-    cross-shard alike; sub-transactions are not counted). *)
-
-val set_warmup : t -> Sim.Sim_time.t -> unit
-(** Set the warmup boundary of every shard's metrics. *)
-
 (** {1 Execution} *)
 
 val run_for :
@@ -123,6 +115,7 @@ type gack = {
   g_tx : Db.Transaction.id;
   g_outcome : Db.Testable_tx.outcome;
   g_at : Sim.Sim_time.t;
+  g_submitted : Sim.Sim_time.t;  (** when the client submitted it. *)
   g_update : bool;
   g_cross : bool;  (** true iff 2PC-coordinated across shards. *)
   g_write_parts : (int * Db.Transaction.id) list;
@@ -130,6 +123,11 @@ type gack = {
           sub-transaction id) pairs whose durability carries the global
           acknowledgement — what {!Shard_check} audits per shard. *)
 }
+
+val acked_on : t -> int -> gack list
+(** Shard [i]'s answers in answer order: every {e global} transaction
+    answered with shard [i] as its home shard, fast path and cross-shard
+    alike (sub-transactions are not listed). *)
 
 val acked : t -> gack list
 (** Every global acknowledgement across all shards, ordered by

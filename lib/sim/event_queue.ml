@@ -97,7 +97,7 @@ let is_empty q = q.size = 0
    in bounds without a check of its own. *)
 let grow q =
   let capacity = Array.length q.values in
-  let capacity' = Stdlib.max 16 (2 * capacity) in
+  let capacity' = Int.max 16 (2 * capacity) in
   let extend a cells fill =
     let a' = Array.make cells fill in
     Array.blit a 0 a' 0 (Array.length a);
@@ -193,7 +193,7 @@ let unclaimed = new_lane ()
    index 0 of rings twice the size. *)
 let grow_ring l =
   let cells = Array.length l.ring_times in
-  let cells' = Stdlib.max 16 (2 * cells) in
+  let cells' = Int.max 16 (2 * cells) in
   let unroll a fill =
     let a' = Array.make cells' fill in
     Array.blit a l.head a' 0 (cells - l.head);

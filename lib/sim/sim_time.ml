@@ -38,7 +38,7 @@ let ( < ) (a : t) b = a < b
 let ( >= ) (a : t) b = a >= b
 let ( > ) (a : t) b = a > b
 let equal = Int.equal
-let max (a : t) b = Stdlib.max a b
-let min (a : t) b = Stdlib.min a b
+let max = Int.max
+let min = Int.min
 let pp ppf t = Format.fprintf ppf "%.3fms" (to_ms t)
 let pp_span ppf d = Format.fprintf ppf "%.3fms" (span_to_ms d)

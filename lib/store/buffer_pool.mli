@@ -1,38 +1,17 @@
 (** Database buffer pool model.
 
-    Decides whether a page access needs a disk read. Two interchangeable
-    models:
-    - {b Probabilistic}: every read hits the buffer with a fixed probability
-      (the paper's Table 4 uses a 20 % hit ratio);
-    - {b Lru}: an actual LRU cache over page identifiers with a fixed
-      capacity, for studies where access skew matters.
-
-    Writes always succeed in the buffer (the write-ahead log provides
-    durability); the pool only tracks residency. *)
-
-type model =
-  | Probabilistic of float  (** hit ratio in [0, 1]. *)
-  | Lru of int  (** capacity in pages, > 0. *)
+    Decides whether a page read needs a disk read: every read hits the
+    buffer with a fixed probability (the paper's Table 4 uses a 20 % hit
+    ratio). Writes always succeed in the buffer (the write-ahead log
+    provides durability), so only reads consult the pool. *)
 
 type t
 
-val create : Sim.Rng.t -> model -> t
-(** [create rng model] is a fresh pool. The probabilistic model draws from
-    [rng]. @raise Invalid_argument on an out-of-range ratio or capacity. *)
+val create : Sim.Rng.t -> float -> t
+(** [create rng ratio] is a fresh pool whose reads hit with probability
+    [ratio], drawn from [rng].
+    @raise Invalid_argument unless [0 <= ratio <= 1]. *)
 
-val read : t -> page:int -> bool
-(** [read pool ~page] is [true] on a buffer hit, [false] when the page must
-    be fetched from disk. Updates recency/residency. *)
-
-val write : t -> page:int -> unit
-(** [write pool ~page] installs the page in the buffer (it is now resident
-    for the LRU model). *)
-
-val invalidate : t -> unit
-(** Empties the buffer (crash: volatile memory is lost). *)
-
-val hits : t -> int
-val misses : t -> int
-
-val hit_ratio : t -> float
-(** Observed hit ratio so far; [nan] before any read. *)
+val read : t -> bool
+(** [true] on a buffer hit, [false] when the page must be fetched from
+    disk. *)

@@ -63,7 +63,7 @@ let create engine ~name ~disk ~write_time ?(config = default_config) () =
 let flush_duration log =
   let us = Sim.Sim_time.span_to_us (log.write_time ()) in
   let scaled = int_of_float (float_of_int us *. log.write_factor) in
-  Sim.Sim_time.span_us (max 1 scaled)
+  Sim.Sim_time.span_us (Int.max 1 scaled)
 
 let rec start_flush log =
   if (not log.flushing) && not (Queue.is_empty log.pending) then begin

@@ -18,7 +18,7 @@ let pick_item g =
   | None ->
     let p = g.params in
     if p.Params.hot_items > 0 && Sim.Rng.bool g.rng p.Params.hot_fraction then
-      Sim.Rng.int g.rng (min p.Params.hot_items p.Params.items)
+      Sim.Rng.int g.rng (Int.min p.Params.hot_items p.Params.items)
     else Sim.Rng.int g.rng p.Params.items
 
 let alloc_id g =

@@ -16,7 +16,6 @@ type t = {
   hot_fraction : float;
   hot_items : int;
   group_commit : bool;
-  async_write_factor : float;
   drop_probability : float;
 }
 
@@ -39,7 +38,6 @@ let table4 =
     hot_fraction = 0.17;
     hot_items = 200;
     group_commit = true;
-    async_write_factor = 0.5;
     drop_probability = 0.;
   }
 
@@ -49,9 +47,8 @@ let db_config p =
     io_time_min = p.io_time_min;
     io_time_max = p.io_time_max;
     cpu_per_io = p.cpu_per_io;
-    buffer = Store.Buffer_pool.Probabilistic p.buffer_hit_ratio;
+    buffer_hit_ratio = p.buffer_hit_ratio;
     group_commit = p.group_commit;
-    async_write_factor = p.async_write_factor;
   }
 
 let rows p =

@@ -25,8 +25,6 @@ type t = {
   hot_fraction : float;  (** fraction of accesses that target the hot set. *)
   hot_items : int;  (** size of the hot set. *)
   group_commit : bool;  (** batch log flushes (ablation: one flush per record). *)
-  async_write_factor : float;
-      (** disk service-time factor for background write-back (ablation). *)
   drop_probability : float;
       (** independent network message loss probability (ablation; 0 on the
           paper's LAN). *)

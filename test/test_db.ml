@@ -590,7 +590,9 @@ type server = {
   db : Db.Db_engine.t;
 }
 
-let make_server ?(config = Db.Db_engine.table4_config) () =
+let table4 = Workload.Params.db_config Workload.Params.table4
+
+let make_server ?(config = table4) () =
   let engine = Sim.Engine.create () in
   let process = Sim.Process.create engine ~name:"S0" in
   let cpus = Sim.Resource.create engine ~name:"cpu" ~servers:2 in
@@ -599,11 +601,8 @@ let make_server ?(config = Db.Db_engine.table4_config) () =
   let db = Db.Db_engine.create engine ~process ~cpus ~disks ~rng config in
   { engine; process; db }
 
-let always_miss =
-  { Db.Db_engine.table4_config with buffer = Store.Buffer_pool.Probabilistic 0. }
-
-let always_hit =
-  { Db.Db_engine.table4_config with buffer = Store.Buffer_pool.Probabilistic 1. }
+let always_miss = { table4 with Db.Db_engine.buffer_hit_ratio = 0. }
+let always_hit = { table4 with Db.Db_engine.buffer_hit_ratio = 1. }
 
 let test_engine_read_hit_is_free () =
   let s = make_server ~config:always_hit () in
@@ -671,7 +670,7 @@ let test_engine_write_io_parallel_and_async () =
       sync_done := Sim.Sim_time.to_us (Sim.Engine.now s.engine));
   Sim.Engine.run s.engine;
   let e2 = make_server () in
-  Db.Db_engine.write_io e2.db ~count:4 ~factor:(Db.Db_engine.async_factor e2.db) ~k:(fun () ->
+  Db.Db_engine.write_io e2.db ~count:4 ~factor:Db.Db_engine.async_factor ~k:(fun () ->
       async_done := Sim.Sim_time.to_us (Sim.Engine.now e2.engine));
   Sim.Engine.run e2.engine;
   check_bool "sync writes took time" true (!sync_done > 0);

@@ -133,6 +133,37 @@ let test_read_only_needs_no_broadcast () =
   System.run_for sys (sec 1.);
   check_bool "read-only committed" true (!outcome = Some Db.Testable_tx.Committed)
 
+(* The book holds one ack per id, each carrying the instant of the
+   submission it answers; a retry of an answered id adds no ack, though
+   [submitted] counts it. *)
+let test_acks_carry_submit_instant () =
+  let sys = make (System.Dsm Dsm_replica.Group_safe_mode) in
+  let engine = System.engine sys in
+  let submitted = Array.make 4 Sim.Sim_time.zero in
+  for id = 0 to 3 do
+    Sim.Engine.schedule engine ~delay:(ms (7. *. float_of_int (id + 1))) (fun () ->
+        submitted.(id) <- System.now sys;
+        System.submit sys ~delegate:(id mod 3) (update_tx ~id))
+  done;
+  System.run_for sys (sec 2.);
+  System.submit sys ~delegate:1 (update_tx ~id:0);
+  System.run_for sys (sec 1.);
+  let acks = System.acked sys in
+  check_int "one ack per id" 4 (List.length acks);
+  check_int "every submission counted" 5 (System.submitted sys);
+  List.iter
+    (fun a ->
+      let id = a.System.tx in
+      check_bool "ack carries the submit instant" true
+        (Sim.Sim_time.equal a.System.submitted_at submitted.(id));
+      check_bool "answered after it" true Sim.Sim_time.(a.System.at > submitted.(id));
+      check_bool "the first submission is booked" true
+        (match System.submission_of sys id with
+         | Some sub -> Sim.Sim_time.equal sub.System.sub_at submitted.(id)
+         | None -> false);
+      check_bool "answered id" true (System.acked_id sys id))
+    acks
+
 (* ---- Certification conflicts abort identically everywhere ---- *)
 
 let test_conflicting_updates_abort_consistently () =
@@ -389,6 +420,7 @@ let () =
           dsm_case "lazy 1-safe commits and converges" (System.Lazy Lazy_replica.One_safe_mode);
           dsm_case "lazy 0-safe commits and converges" (System.Lazy Lazy_replica.Zero_safe_mode);
           Alcotest.test_case "read-only skips broadcast" `Quick test_read_only_needs_no_broadcast;
+          Alcotest.test_case "acks carry the submit instant" `Quick test_acks_carry_submit_instant;
           Alcotest.test_case "conflicts abort consistently" `Quick
             test_conflicting_updates_abort_consistently;
         ] );

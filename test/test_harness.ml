@@ -1,8 +1,9 @@
 (* Tests for the harness: report formatting, the analytic models, load
-   points (sanity and determinism), replayable crash storms, and two
-   randomized crash-storm properties: group-safe replication never loses
-   an acknowledged transaction while the group survives, and 2-safe
-   replication never loses one at all. *)
+   points (sanity and determinism), the measured window a load point is
+   folded from (warm-up edges, shard merge order), replayable crash
+   storms, and two randomized crash-storm properties: group-safe
+   replication never loses an acknowledged transaction while the group
+   survives, and 2-safe replication never loses one at all. *)
 
 open Groupsafe
 
@@ -104,6 +105,94 @@ let test_load_point_orders_group_safe_under_lazy () =
   let lazy1 = run (System.Lazy Lazy_replica.One_safe_mode) in
   let g1s = run (System.Dsm Dsm_replica.Group_one_safe_mode) in
   check_bool "fig9 ordering at moderate load" true (gs < lazy1 && lazy1 < g1s)
+
+(* ---- Measured window ---- *)
+
+(* Hand-built books for [point_of_books]: instants in ms, the warm-up at
+   1 s, the drain ending at 3 s unless stated. *)
+let at_ms x = Sim.Sim_time.of_us (int_of_float (Float.round (x *. 1000.)))
+
+let answer ?(outcome = Db.Testable_tx.Committed) ~submitted ~answered tx =
+  { System.tx; outcome; at = at_ms answered; submitted_at = at_ms submitted; update = true }
+
+let window ?(until = 3000.) books =
+  Harness.Experiment.point_of_books (System.Dsm Dsm_replica.Group_safe_mode) ~load_tps:1.
+    ~warmup_at:(at_ms 1000.) ~until:(at_ms until) ~registry:(Obs.Registry.create ()) books
+
+let check_float msg expected got = check_bool msg true (Float.equal expected got)
+
+let test_window_answer_at_warmup_counts () =
+  let { Harness.Experiment.completed; mean_ms; throughput_tps; abort_rate; _ } =
+    window
+      [ [ answer ~submitted:1000. ~answered:1000. 0; answer ~submitted:1000. ~answered:1004. 1 ] ]
+  in
+  check_int "both response samples" 2 completed;
+  check_float "mean response" 2. mean_ms;
+  check_float "two commits over the 2 s window" 1. throughput_tps;
+  check_float "no aborts" 0. abort_rate
+
+let test_window_early_submission_adds_no_sample () =
+  let { Harness.Experiment.completed; mean_ms; throughput_tps; abort_rate; _ } =
+    window
+      [
+        [
+          answer ~submitted:900. ~answered:1010. 0;
+          answer ~outcome:Db.Testable_tx.Aborted ~submitted:990. ~answered:1020. 1;
+          answer ~submitted:1100. ~answered:1106. 2;
+        ];
+      ]
+  in
+  check_int "only the post-warm-up submission is a sample" 1 completed;
+  check_float "its response time" 6. mean_ms;
+  check_float "both commits count" 1. throughput_tps;
+  check_float "the abort counts" (1. /. 3.) abort_rate
+
+let test_window_answer_before_warmup_ignored () =
+  let { Harness.Experiment.completed; mean_ms; throughput_tps; abort_rate; _ } =
+    window
+      [
+        [
+          answer ~submitted:100. ~answered:999. 0;
+          answer ~outcome:Db.Testable_tx.Aborted ~submitted:200. ~answered:500. 1;
+        ];
+      ]
+  in
+  check_int "no sample" 0 completed;
+  check_bool "no mean" true (Float.is_nan mean_ms);
+  check_float "no commit" 0. throughput_tps;
+  check_bool "nothing decided" true (Float.is_nan abort_rate);
+  List.iter
+    (fun books ->
+      check_bool "nothing decided in empty books" true
+        (Float.is_nan (window books).Harness.Experiment.abort_rate))
+    [ []; [ [] ]; [ []; [] ] ]
+
+(* Two shards' books, 1.1 s measured. The values are chosen so that both
+   the running mean and the throughput sum round differently in another
+   order or grouping: the point must add shard 0's samples, then shard
+   1's, and sum per-shard quotients. *)
+let test_window_merges_shards_in_order () =
+  let book responses =
+    List.mapi
+      (fun i r ->
+        let s = 1000. +. (10. *. float_of_int i) in
+        answer ~submitted:s ~answered:(s +. r) i)
+      responses
+  in
+  let r0 = [ 2.5; 5.5; 1.5 ] and r1 = [ 8.8; 10.7; 0.3; 4.2; 4.2 ] in
+  let { Harness.Experiment.completed; mean_ms; throughput_tps; _ } =
+    window ~until:2100. [ book r0; book r1 ]
+  in
+  let mean_of rs =
+    let s = Sim.Stats.series "reference" in
+    List.iter (Sim.Stats.add s) rs;
+    Sim.Stats.mean s
+  in
+  check_int "every sample" 8 completed;
+  check_float "mean in shard order" (mean_of (r0 @ r1)) mean_ms;
+  check_bool "the other order differs" false (Float.equal (mean_of (r1 @ r0)) mean_ms);
+  check_float "throughput is the per-shard sum" ((3. /. 1.1) +. (5. /. 1.1)) throughput_tps;
+  check_bool "not the pooled quotient" false (Float.equal (8. /. 1.1) throughput_tps)
 
 (* ---- Crash storms ---- *)
 
@@ -263,6 +352,17 @@ let () =
           Alcotest.test_case "fig9 ordering" `Slow test_load_point_orders_group_safe_under_lazy;
           Alcotest.test_case "closed loop self-throttles" `Slow
             test_closed_loop_point_self_throttles;
+        ] );
+      ( "window",
+        [
+          Alcotest.test_case "an answer at the warm-up instant counts" `Quick
+            test_window_answer_at_warmup_counts;
+          Alcotest.test_case "an early submission adds no sample" `Quick
+            test_window_early_submission_adds_no_sample;
+          Alcotest.test_case "an answer before the warm-up is ignored" `Quick
+            test_window_answer_before_warmup_ignored;
+          Alcotest.test_case "shards merge in shard order" `Quick
+            test_window_merges_shards_in_order;
         ] );
       ( "storms",
         Alcotest.test_case "crash storm replayable" `Quick test_crash_storm_replayable

@@ -427,6 +427,54 @@ let test_finished_coordinators_dropped () =
   check_int "every cross-shard transaction answered" (txs / 2) cross;
   check_int "no coordinator left open" 0 (Shard.Sharded_system.open_coordinators t)
 
+(* Each shard's book lists its answers in the order the clients heard
+   them, fast path and cross-shard alike, each with its submit instant.
+   Cross-shard answers take two commit rounds, so later fast-path
+   submissions overtake them and answer order is not submission order. *)
+let test_acked_on_answer_order () =
+  let shards = 2 and sps = small_params.Workload.Params.servers in
+  let t =
+    Shard.Sharded_system.create
+      (Shard.Sharded_system.config ~seed:9L ~fd_config:Gcs.Failure_detector.light_config
+         ~trace_enabled:false ~shards ~params:small_params group_safe)
+  in
+  let map = Shard.Sharded_system.map t in
+  let txs = 16 in
+  let submitted = Array.make txs Sim.Sim_time.zero in
+  let heard = Array.make shards [] in
+  for i = 0 to txs - 1 do
+    let home = i mod shards in
+    let engine = Shard.Sharded_system.engine_of t home in
+    let lo, hi = SM.range map home and plo, _ = SM.range map ((home + 1) mod shards) in
+    let ops = [ Db.Op.Read (lo + (i mod (hi - lo))); Db.Op.Write (lo + ((i + 3) mod (hi - lo)), i) ] in
+    let ops = if i mod 4 < 2 then ops @ [ Db.Op.Write (plo + i, i) ] else ops in
+    let tx = Db.Transaction.make ~id:i ~client:0 ops in
+    Sim.Engine.schedule engine ~delay:(st (3_000 * i)) (fun () ->
+        submitted.(i) <- Sim.Engine.now engine;
+        Shard.Sharded_system.submit t ~delegate:(home * sps)
+          ~on_response:(fun _ -> heard.(home) <- (i, Sim.Engine.now engine) :: heard.(home))
+          tx)
+  done;
+  Shard.Sharded_system.run_for ~jobs:1 t (Sim.Sim_time.span_ms 3_000.);
+  for home = 0 to shards - 1 do
+    let book = Shard.Sharded_system.acked_on t home in
+    let ids = List.map (fun g -> g.Shard.Sharded_system.g_tx) book in
+    Alcotest.(check (list (pair int int)))
+      "answers in the order the clients heard them"
+      (List.rev_map (fun (i, at) -> (i, Sim.Sim_time.to_us at)) heard.(home))
+      (List.map (fun g -> Shard.Sharded_system.(g.g_tx, Sim.Sim_time.to_us g.g_at)) book);
+    check_bool "every answer carries its submit instant" true
+      (List.for_all
+         (fun g -> Shard.Sharded_system.(Sim.Sim_time.equal g.g_submitted submitted.(g.g_tx)))
+         book);
+    check_int "one answer per home submission" (txs / shards) (List.length book);
+    check_bool "fast path and cross-shard answers" true
+      (List.exists (fun g -> g.Shard.Sharded_system.g_cross) book
+      && List.exists (fun g -> not g.Shard.Sharded_system.g_cross) book);
+    check_bool "answer order is not submission order" false
+      (ids = List.sort Int.compare ids)
+  done
+
 (* ---- One group: the sharded checker is the explorer's core ---- *)
 
 (* At one shard, Shard_check.run is the explorer's interpreter, repair
@@ -661,6 +709,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fault_free_equivalence;
           Alcotest.test_case "registry counts the 2PC protocol" `Quick
             test_fault_free_registry_counters;
+          Alcotest.test_case "acked_on lists answers in answer order" `Quick
+            test_acked_on_answer_order;
           Alcotest.test_case "finished coordinators are dropped" `Quick
             test_finished_coordinators_dropped;
         ] );
